@@ -37,7 +37,7 @@ from ..obs.profiling import config_hash
 from ..obs.trace import JsonlSink
 
 #: Checkpoint envelope format; bump on breaking layout changes.
-FORMAT = "repro.checkpoint/1"
+FORMAT = "repro.checkpoint/2"
 
 #: How many checkpoints `save_checkpoint` keeps per directory.
 KEEP_LAST = 3

@@ -49,7 +49,7 @@ class Harvester:
     efficiency: float = 0.85
     #: Memory-diet mode: shading factors are rounded through float32
     #: (both cache paths, so the scalar and vectorized engines still
-    #: agree bitwise) and the sliding window / scalar cache shrink.
+    #: agree bitwise) and the scalar cache shrinks.
     diet: bool = False
 
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -59,20 +59,14 @@ class Harvester:
     _rng_scratch: Optional[random.Random] = field(
         default=None, init=False, repr=False
     )
-    #: Sliding contiguous shading-factor window for the vectorized
-    #: engine, covering grid indices [_shade_base, _shade_base + len).
-    _shade_arr: Optional[np.ndarray] = field(
+    #: Private one-row shading table behind :meth:`shading_factors_batch`
+    #: (the vectorized engine gathers through its own cohort table).
+    _table: Optional[_kshading.ShadingTable] = field(
         default=None, init=False, repr=False
     )
-    _shade_base: int = field(default=0, init=False, repr=False)
 
-    #: Maximum length of the contiguous shading window (≈170 days at the
-    #: default 30-min step); the left tail is dropped beyond it.
-    SHADE_WINDOW_LIMIT = 8192
-    #: Diet-mode window (≈21 days) — settles march strictly forward, so
-    #: a shorter tail only forces earlier recomputation, never changes
-    #: the (pure-function) values.
-    DIET_SHADE_WINDOW_LIMIT = 1024
+    #: Slots of the private table: a 128 h forecast at the 2-h diet grid.
+    TABLE_WIDTH = 64
     #: Scalar-path cache cap (diet keeps a much smaller dict).
     CACHE_LIMIT = 4096
     DIET_CACHE_LIMIT = 512
@@ -92,11 +86,15 @@ class Harvester:
             raise ConfigurationError("shading_step_s must be positive")
         if self.diet:
             self.shading_step_s = max(self.shading_step_s, self.DIET_SHADING_STEP_S)
-        self._shade_limit = (
-            self.DIET_SHADE_WINDOW_LIMIT if self.diet else self.SHADE_WINDOW_LIMIT
-        )
         self._cache_limit = self.DIET_CACHE_LIMIT if self.diet else self.CACHE_LIMIT
-        self._shade_dtype = np.float32 if self.diet else np.float64
+
+    def __getstate__(self) -> dict:
+        # Snapshots carry neither cache table nor scratch RNG: both are
+        # rebuilt on demand and hold only pure-function values.
+        state = self.__dict__.copy()
+        state["_table"] = None
+        state["_rng_scratch"] = None
+        return state
 
     def _shading_factor(self, time_s: float) -> float:
         """Node-local multiplicative variation, mean ≈ 1, clipped to [0, 1.5]."""
@@ -115,7 +113,7 @@ class Harvester:
         """The scalar shading expression (shared by both cache paths).
 
         In diet mode the value is rounded through float32 before use, so
-        the scalar cache and the float32 sliding window hold the exact
+        the scalar cache and the float32 shading tables hold the exact
         same number and both engines keep agreeing bitwise.
         """
         rng = self._rng_scratch
@@ -134,10 +132,10 @@ class Harvester:
         """Shading factors for an array of times in one gather.
 
         The factor is a pure function of its grid index, so any caching
-        policy is free; the gather runs through the lazily-filled
-        sliding window of :mod:`repro.kernels.shading`, with entries
+        policy is free; the gather runs through a private one-row
+        :class:`~repro.kernels.shading.ShadingTable`, with entries
         computed by the exact scalar expression of
-        :meth:`_shading_factor` on first touch.
+        :meth:`_shading_factor` on a miss.
         """
         times = np.asarray(times_s, dtype=np.float64)
         if self.shading_sigma == 0.0:
@@ -145,7 +143,9 @@ class Harvester:
         if times.size == 0:
             return np.empty(0, dtype=np.float64)
         indices = np.floor_divide(times, self.shading_step_s).astype(np.int64)
-        return _kshading.gather(self, indices)
+        if self._table is None:
+            self._table = _kshading.ShadingTable([self], self.TABLE_WIDTH)
+        return _kshading.gather(self._table, indices, 0)
 
     def power_watts(self, time_s: float) -> float:
         """Instantaneous harvested (post-regulator) power for this node."""

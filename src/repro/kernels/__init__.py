@@ -27,7 +27,11 @@ single attribute check.
 The RNG boundary is deliberate: shading factors and contention draws
 come from seeded :class:`random.Random` generators whose draw order is
 observable, so draws always happen in Python — kernels only consume the
-drawn values (see docs/PERFORMANCE.md § Kernel layer).
+drawn values (see docs/PERFORMANCE.md § Kernel layer).  Shading draws
+are pure functions of (node, grid index), which is why
+:class:`~repro.kernels.shading.ShadingTable` may cache them for a whole
+cohort in a fixed-size, direct-mapped table: evicting and redrawing a
+factor returns the same bits.
 """
 
 from __future__ import annotations

@@ -1,114 +1,113 @@
-"""Node-shading gather kernel (lazy sliding window, RNG in Python).
+"""Node-shading gather kernel: one direct-mapped table for a cohort.
 
-A node's shading factor is a *pure function* of its grid index — a
-seeded ``random.Random((node_seed << 24) ^ index)`` draw — so any
-caching policy is free to restructure without touching bit-identity.
-This kernel keeps the per-harvester sliding window **lazily** filled:
-unvisited slots hold NaN and are materialized only when a gather
-actually requests them.  That is what makes night-skipping effective —
-zero panel output multiplies to an exact ``0.0`` whatever the factor,
-so the vectorized engine's callers mask night midpoints out of their
-gathers and roughly half the RNG draws never happen.
-
-Both backends share one implementation: the draws must come from
-Python's ``random.Random`` (the scalar engine's generator), so there is
-nothing for Numba to compile — the RNG boundary documented in
-:mod:`repro.kernels`.
+A shading factor is a *pure function* of (node seed, grid index) — a
+seeded ``random.Random`` draw (:meth:`Harvester._shading_at`) — so a
+cache may evict anything and still return the bits a redraw would.
+:class:`ShadingTable` holds one row per node and ``W`` slots per row;
+index ``i`` lives in slot ``i mod W`` under a tag naming ``i``.  One
+:func:`gather` serves a whole batch of (row, index) pairs; misses are
+drawn once each, written straight into the output and then stored.
+The vectorized sweep sets ``W`` to (longest period + forecast horizon
++ settle chunk) / shading step, rounded up to a power of two, and masks
+night indices out (their slots are never drawn).  Draws come from
+Python's ``random.Random``: both backends share this code.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
+from ..exceptions import ConfigurationError
 from ..obs.profiling import hot_profiler
 
 _PROF = hot_profiler()
 
-#: Right-side padding: accesses march forward (settles/forecasts), so
-#: reserving slots ahead amortizes window rebuilds.  The slots stay NaN
-#: until requested, so padding costs memory, not RNG draws.
-PAD = 128
+#: Tag of a slot that was never filled (no grid index is this small).
+_EMPTY = np.iinfo(np.int64).min
 
 
-def _window(harvester, lo: int, hi: int):
-    """Grow the NaN-backed window to cover [lo, hi]; return (arr, base)."""
-    arr = harvester._shade_arr
-    dtype = harvester._shade_dtype
-    if arr is None:
-        harvester._shade_base = lo
-        arr = np.full(hi - lo + PAD, np.nan, dtype=dtype)
-        harvester._shade_arr = arr
-        return arr, lo
-    base = harvester._shade_base
-    top = base + len(arr)
-    if lo >= base and hi < top:
-        return arr, base
-    parts = []
-    if lo < base:
-        parts.append(np.full(base - lo, np.nan, dtype=dtype))
-        base = lo
-    parts.append(arr)
-    if hi >= top:
-        parts.append(np.full(hi + PAD - top, np.nan, dtype=dtype))
-    arr = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    limit = harvester._shade_limit
-    if len(arr) > limit:
-        keep = limit // 2
-        # Never trim past the range this gather needs.
-        span = base + len(arr) - lo
-        if keep < span:
-            keep = span
-        base += len(arr) - keep
-        arr = arr[-keep:]
-    harvester._shade_base = base
-    harvester._shade_arr = arr
-    return arr, base
+class ShadingTable:
+    """Direct-mapped cache of ``rows × width`` (int64 tag, factor) slots.
+
+    Factors are float32 when every harvester is in diet mode (exact:
+    diet factors are already float32-rounded).
+    """
+
+    __slots__ = ("harvesters", "width", "tags", "values", "constant")
+
+    def __init__(self, harvesters: Sequence, width: int) -> None:
+        if width < 1 or width & (width - 1):
+            raise ConfigurationError("shading table width must be a power of two")
+        self.harvesters = list(harvesters)
+        self.width = width
+        shape = (len(self.harvesters), width)
+        self.tags = np.full(shape, _EMPTY, dtype=np.int64)
+        diet = all(h.diet for h in self.harvesters)
+        self.values = np.zeros(shape, dtype=np.float32 if diet else np.float64)
+        #: σ = 0 everywhere: every factor is exactly 1.0, nothing to draw.
+        self.constant = all(h.shading_sigma == 0.0 for h in self.harvesters)
 
 
-def _gather_impl(harvester, indices: np.ndarray) -> np.ndarray:
-    lo = int(indices.min())
-    hi = int(indices.max())
-    arr, base = _window(harvester, lo, hi)
-    pos = indices - base
-    vals = arr[pos]
-    missing = np.isnan(vals)
-    if missing.any():
-        shading_at = harvester._shading_at
-        for idx in np.unique(indices[missing]).tolist():
-            arr[idx - base] = shading_at(idx)
-        vals = arr[pos]
-    return vals
+def _gather_impl(table: ShadingTable, indices: np.ndarray, rows) -> np.ndarray:
+    tags = table.tags.reshape(-1)
+    values = table.values.reshape(-1)
+    slots = np.asarray(rows, dtype=np.int64) * table.width + (
+        indices & (table.width - 1)
+    )
+    out = values[slots].astype(np.float64)
+    miss = np.flatnonzero(tags[slots] != indices)
+    if miss.size:
+        miss_idx = indices[miss]
+        miss_slots = slots[miss]
+        # Draw each distinct (slot, index) pair once; the pair packs into
+        # one sortable key (slots × index span never overflows int64).
+        low = int(miss_idx.min())
+        span = int(miss_idx.max()) - low + 1
+        _, first, inverse = np.unique(
+            miss_slots * span + (miss_idx - low),
+            return_index=True,
+            return_inverse=True,
+        )
+        new_slots = miss_slots[first]
+        new_idx = miss_idx[first]
+        harvesters = table.harvesters
+        width = table.width
+        drawn = np.array(
+            [
+                harvesters[slot // width]._shading_at(index)
+                for slot, index in zip(new_slots.tolist(), new_idx.tolist())
+            ]
+        )
+        out[miss] = drawn[inverse]
+        # Two new indices may share a slot: store the value only where
+        # the tag write survived, so every slot stays a consistent pair.
+        tags[new_slots] = new_idx
+        kept = tags[new_slots] == new_idx
+        values[new_slots[kept]] = drawn[kept]
+    return out
 
 
-def gather(harvester, indices) -> np.ndarray:
-    """Shading factors for an int array of grid indices.
+def gather(table: ShadingTable, indices, rows) -> np.ndarray:
+    """Shading factors for ``(rows[k], indices[k])`` pairs, as float64.
 
+    ``rows`` is an int array matching ``indices`` (or one row for all).
     Values are computed with the exact scalar expression
-    (:meth:`Harvester._shading_at`) on first touch and cached in the
-    harvester's sliding window; repeat gathers are a NumPy fancy-index.
-    Callers should pre-mask night indices — skipped slots are simply
-    never drawn.
+    (:meth:`Harvester._shading_at`) on a table miss; hits are one fancy
+    index.  Callers should pre-mask night indices — skipped slots are
+    simply never drawn.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return np.empty(0, dtype=np.float64)
-    if harvester.shading_sigma == 0.0:
+    if table.constant:
         return np.ones(indices.shape)
     if not _PROF.enabled:
-        return _gather_impl(harvester, indices)
+        return _gather_impl(table, indices, rows)
     started = time.perf_counter()
     try:
-        return _gather_impl(harvester, indices)
+        return _gather_impl(table, indices, rows)
     finally:
         _PROF.add("shading.gather", time.perf_counter() - started)
-
-
-def gather_for_times(harvester, times_s: np.ndarray) -> np.ndarray:
-    """Shading factors for an array of times (grid-index wrapper)."""
-    times = np.asarray(times_s, dtype=np.float64)
-    if harvester.shading_sigma == 0.0:
-        return np.ones(times.shape)
-    indices = np.floor_divide(times, harvester.shading_step_s).astype(np.int64)
-    return gather(harvester, indices)

@@ -15,7 +15,7 @@ import dataclasses
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -106,13 +106,24 @@ def build_forecaster(
     return OracleForecaster(harvester)
 
 
-def build_mac(config: SimulationConfig, capacity_j: float, nominal_j: float) -> MacPolicy:
-    """Instantiate the MAC policy a config describes."""
+def build_mac(
+    config: SimulationConfig,
+    capacity_j: float,
+    nominal_j: float,
+    max_tx_energy_j: Optional[float] = None,
+) -> MacPolicy:
+    """Instantiate the MAC policy a config describes.
+
+    ``max_tx_energy_j`` lets a caller that already holds
+    ``config.max_tx_energy_j()`` skip recomputing it per node.
+    """
     if config.use_window_selection:
+        if max_tx_energy_j is None:
+            max_tx_energy_j = config.max_tx_energy_j()
         return BatteryLifespanAwareMac(
             soc_cap=config.soc_cap,
             w_b=config.w_b,
-            max_tx_energy_j=config.max_tx_energy_j(),
+            max_tx_energy_j=max_tx_energy_j,
             nominal_tx_energy_j=nominal_j,
             beta=config.ewma_beta,
             battery_capacity_j=capacity_j,

@@ -46,7 +46,7 @@ from ..energy import (
     SolarModel,
 )
 from ..kernels import emit_startup_notice
-from ..lora import LogDistanceLink, airtime_table
+from ..lora import LogDistanceLink, SpreadingFactor, airtime_table
 from ..obs import Observability, RunManifest, config_hash, git_revision
 from .config import SimulationConfig
 from .engine import build_forecaster, build_mac
@@ -128,8 +128,32 @@ class Attempt:
         self.channel = channel
 
 
+class NodeTemplate:
+    """The per-spreading-factor constants every node of that SF shares.
+
+    Computed once per SF by :class:`MesoscopicSimulator` instead of once
+    per node: tx parameters, the airtime-table entry, battery capacity,
+    sleep power and the DIF scale ``E^tx_max``.
+    """
+
+    __slots__ = ("tx_params", "phy", "capacity_j", "sleep_watts", "max_tx_energy_j")
+
+    def __init__(self, config: SimulationConfig, sf: SpreadingFactor) -> None:
+        energy_model = config.energy_model()
+        self.tx_params = config.tx_params(sf)
+        self.phy = airtime_table(energy_model).entry(self.tx_params)
+        self.capacity_j = config.battery_capacity_j(sf)
+        self.sleep_watts = energy_model.power_profile.sleep_watts
+        self.max_tx_energy_j = config.max_tx_energy_j()
+
+
 class MesoNode:
-    """Per-node state for the mesoscopic runner."""
+    """Per-node state for the mesoscopic runner.
+
+    ``template`` and ``solar`` default to this node's own per-SF
+    constants and regional solar model; a simulator passes shared ones.
+    ``row`` is the node's row in the sweep's shading table.
+    """
 
     def __init__(
         self,
@@ -138,18 +162,24 @@ class MesoNode:
         clouds: CloudProcess,
         link: LogDistanceLink,
         trace=None,
+        *,
+        template: Optional[NodeTemplate] = None,
+        solar: Optional[SolarModel] = None,
+        row: int = 0,
     ) -> None:
         self.placement = placement
         self.config = config
-        params = config.tx_params(placement.spreading_factor)
+        self.row = row
+        if template is None:
+            template = NodeTemplate(config, placement.spreading_factor)
+        params = template.tx_params
         self.tx_params = params
-        energy_model = config.energy_model()
-        phy = airtime_table(energy_model).entry(params)
+        phy = template.phy
         self.airtime_s = phy.airtime_s
         self.tx_energy_j = phy.tx_energy_j
         self.attempt_energy_j = phy.attempt_energy_j
-        self.sleep_watts = energy_model.power_profile.sleep_watts
-        capacity = config.battery_capacity_j(placement.spreading_factor)
+        self.sleep_watts = template.sleep_watts
+        capacity = template.capacity_j
         self.battery = Battery(
             capacity_j=capacity,
             initial_soc=config.initial_soc,
@@ -158,7 +188,8 @@ class MesoNode:
             # Diet: small pure-function stress caches (bit-identical).
             memo_limit=4096 if config.diet else None,
         )
-        solar = SolarModel(peak_watts=config.solar_peak_watts(), clouds=clouds)
+        if solar is None:
+            solar = SolarModel(peak_watts=config.solar_peak_watts(), clouds=clouds)
         self.harvester = Harvester(
             solar=solar,
             node_seed=config.seed * 10_007 + placement.node_id,
@@ -166,7 +197,9 @@ class MesoNode:
             diet=config.diet,
         )
         self.forecaster = build_forecaster(config, self.harvester, placement.node_id)
-        self.mac: MacPolicy = build_mac(config, capacity, self.attempt_energy_j)
+        self.mac: MacPolicy = build_mac(
+            config, capacity, self.attempt_energy_j, template.max_tx_energy_j
+        )
         self.switch = SoftwareDefinedSwitch(soc_cap=self.mac.soc_cap)
         self.trace = trace
         if trace is not None:
@@ -494,6 +527,20 @@ class MesoscopicResult:
         return [self.max_degradation_at((m + 1) * month_s) for m in range(months)]
 
 
+def reject_fault_plan(config: SimulationConfig) -> None:
+    """Raise when ``config`` carries a non-empty fault plan.
+
+    Only the exact engine has per-event boundaries to inject faults at;
+    the mesoscopic and sharded engines would otherwise drop the plan
+    silently.  An empty plan (``FaultPlan.is_empty``) is allowed.
+    """
+    if config.faults is not None and not config.faults.is_empty:
+        raise ConfigurationError(
+            "fault plans need the exact engine; the mesoscopic and "
+            "sharded engines cannot inject faults"
+        )
+
+
 def cell_contention_seed(seed: int, cell_index: Optional[int]) -> int:
     """Seed of a (cell-local) contention RNG stream.
 
@@ -531,6 +578,7 @@ class MesoscopicSimulator:
         export_nodes: Optional[frozenset] = None,
         foreign=None,
     ) -> None:
+        reject_fault_plan(config)
         self.config = config
         self.obs = obs if obs is not None else config.build_observability()
         self._trace = self.obs.trace
@@ -539,12 +587,28 @@ class MesoscopicSimulator:
                 path_loss_exponent=config.path_loss_exponent
             )
             clouds = CloudProcess(seed=config.seed)
+            #: The regional solar model every node's harvester shares.
+            self.solar = SolarModel(
+                peak_watts=config.solar_peak_watts(), clouds=clouds
+            )
             if placements is None:
                 placements = build_topology(config, self.link)
+            templates: Dict[SpreadingFactor, NodeTemplate] = {}
             self.nodes: Dict[int, MesoNode] = {}
-            for placement in placements:
+            for row, placement in enumerate(placements):
+                sf = placement.spreading_factor
+                template = templates.get(sf)
+                if template is None:
+                    template = templates[sf] = NodeTemplate(config, sf)
                 self.nodes[placement.node_id] = MesoNode(
-                    placement, config, clouds, self.link, trace=self._trace
+                    placement,
+                    config,
+                    clouds,
+                    self.link,
+                    trace=self._trace,
+                    template=template,
+                    solar=self.solar,
+                    row=row,
                 )
         self.service = DegradationService()
         if self._trace is not None:

@@ -11,10 +11,12 @@ stream with three batched kernels:
   forecast and scored as arrays.  A PERIOD event never enqueues another
   event at its own timestamp (resolutions and next periods land strictly
   later), so the batch pop sees exactly the events the scalar loop would.
-* **Batched settling** — chunk plans for a whole batch are evaluated
-  through one shared :meth:`SolarModel.power_watts_batch` call plus
-  per-node shading gathers; the switch/battery arithmetic is applied
-  with the exact scalar operation order (see ``_apply_chunks``).
+* **Cohort-wide harvest** — the settle chunks of a whole batch (and,
+  at period starts, its forecast windows too) are evaluated through
+  one shared :meth:`SolarModel.power_watts_batch` call and one gather
+  from the sweep's :class:`~repro.kernels.shading.ShadingTable`; the
+  switch/battery arithmetic is applied with the exact scalar operation
+  order (see ``_apply_chunks``).
 * **Batched Algorithm 1** — :func:`repro.core.mac.batch_choose_windows`
   scores a node × window matrix per period-length cohort.
 
@@ -29,6 +31,7 @@ tracing selects it.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -67,25 +70,80 @@ class _FastDecision:
         self.utility = utility
 
 
+# --------------------------------------------------------------- harvest
+
+
+def shading_table_width(config, step_s: float) -> int:
+    """Slots per node of the sweep's shading table (a power of two).
+
+    Between two of its period starts a node touches shading indices
+    from its last settle (at most one period back) to the end of its
+    forecast horizon, plus one settle chunk of slack; a row this wide
+    holds them all, so steady-state gathers draw each index once.
+    """
+    longest = config.period_range_s[1]
+    horizon = config.windows_per_period(longest) * config.window_s
+    span = longest + horizon + config.settle_chunk_s()
+    return 1 << (max(1, math.ceil(span / step_s)) - 1).bit_length()
+
+
+class _Harvest:
+    """The sweep's cohort-wide harvest: shared solar plus shading table.
+
+    Every node shares the simulator's regional :class:`SolarModel`,
+    shading grid and efficiency, so one solar evaluation and one table
+    gather serve any set of (node, time) points.  The table holds only
+    pure-function values and lives with this sweep, never in snapshots:
+    a resumed run starts a fresh one.
+    """
+
+    __slots__ = ("solar", "table", "step_s", "efficiency")
+
+    def __init__(self, sim) -> None:
+        # Table row i is the i-th node built, which is ``MesoNode.row``.
+        harvesters = [node.harvester for node in sim.nodes.values()]
+        first = harvesters[0]
+        self.solar = first.solar
+        self.step_s = first.shading_step_s
+        self.efficiency = first.efficiency
+        self.table = None
+        if first.shading_sigma != 0.0:
+            self.table = kshading.ShadingTable(
+                harvesters, shading_table_width(sim.config, self.step_s)
+            )
+
+    def shading(self, mids: np.ndarray, solar: np.ndarray, rows) -> np.ndarray:
+        """Shading factors at ``mids`` for table ``rows``, in one gather.
+
+        Night points (solar == 0) keep 1.0 and are never drawn: zero
+        panel output multiplies to an exact 0.0 whatever the factor, and
+        the factor is a pure function of its grid index, so the skipped
+        draws cannot perturb later values.
+        """
+        shade = np.ones(mids.shape)
+        if self.table is not None:
+            day = solar != 0.0
+            if day.any():
+                grid = np.floor_divide(mids[day], self.step_s).astype(np.int64)
+                shade[day] = kshading.gather(self.table, grid, rows[day])
+        return shade
+
+
 # --------------------------------------------------------------- settling
 
 
-def _settle_items(
-    items: Sequence[Tuple[MesoNode, float, float]],
-    shared_solar,
-    chunk_s: float,
-) -> List[float]:
-    """Settle ``(node, time, extra_demand)`` items; returns shortfalls.
+def _plan_settles(
+    items: Sequence[Tuple[MesoNode, float, float]], chunk_s: float
+) -> Tuple[list, List[float], np.ndarray]:
+    """Lay out the settle chunks of ``(node, time, extra_demand)`` items.
 
-    Chunk plans for every item are laid out first, the shared solar
-    power is evaluated once for all chunk midpoints, then each node's
-    chunks are applied with the scalar switch/battery arithmetic.
-    Cross-node work is order-independent (each node only touches its own
-    battery/harvester state), so batching preserves scalar results as
-    long as one node appears at most once per call.
+    Returns the per-item plans, every chunk midpoint and each midpoint's
+    shading-table row.
     """
     plans = []
-    mids_all: List[float] = []
+    mids: List[float] = []
+    rows: List[int] = []
+    counts: List[int] = []
     for node, now_s, extra in items:
         now_s = max(now_s, node.settled_until_s)
         cursor = node.settled_until_s
@@ -96,45 +154,28 @@ def _settle_items(
             duration = chunk_end - cursor
             ends.append(chunk_end)
             durations.append(duration)
-            mids_all.append(cursor + duration / 2.0)
+            mids.append(cursor + duration / 2.0)
             cursor = chunk_end
         plans.append((node, now_s, extra, ends, durations))
-    if mids_all:
-        mids_arr = np.array(mids_all)
-        solar_all = shared_solar.power_watts_batch(mids_arr)
-        # One shading gather per node into a shared buffer, then a
-        # single (solar × shading) × η expression for the whole batch
-        # — elementwise identical to Harvester.power_watts per chunk.
-        # Night midpoints (solar == 0) skip the gather entirely: zero
-        # panel output multiplies to an exact 0.0 whatever the factor,
-        # and the factor is a pure function of its grid index, so the
-        # skipped draws cannot perturb later values.
-        shade_all = np.ones(mids_arr.size)
-        first = items[0][0].harvester
-        if first.shading_sigma != 0.0:
-            day = solar_all != 0.0
-            if day.any():
-                grid = np.floor_divide(mids_arr, first.shading_step_s).astype(
-                    np.int64
-                )
-                pos = 0
-                for node, _, _, ends, _ in plans:
-                    count = len(ends)
-                    if count:
-                        mask = day[pos : pos + count]
-                        if mask.any():
-                            shade_all[pos : pos + count][mask] = kshading.gather(
-                                node.harvester, grid[pos : pos + count][mask]
-                            )
-                        pos += count
-        powers_all = ((solar_all * shade_all) * first.efficiency).tolist()
+        rows.append(node.row)
+        counts.append(len(ends))
+    return plans, mids, np.repeat(np.array(rows, dtype=np.int64), counts)
+
+
+def _apply_settles(plans: list, powers: List[float]) -> List[float]:
+    """Apply planned chunks with their harvest powers; returns shortfalls.
+
+    Cross-node work is order-independent (each node only touches its
+    own battery state), so batching preserves scalar results as long
+    as one node appears at most once per batch.
+    """
     pos = 0
     shortfalls: List[float] = []
     for node, now_s, extra, ends, durations in plans:
         count = len(ends)
         if count:
             shortfall = _apply_chunks(
-                node, ends, durations, powers_all[pos : pos + count], extra
+                node, ends, durations, powers[pos : pos + count], extra
             )
             pos += count
         else:
@@ -150,6 +191,27 @@ def _settle_items(
         node.settled_until_s = max(node.settled_until_s, now_s)
         shortfalls.append(shortfall)
     return shortfalls
+
+
+def _settle_items(
+    items: Sequence[Tuple[MesoNode, float, float]],
+    harvest: _Harvest,
+    chunk_s: float,
+) -> List[float]:
+    """Settle ``(node, time, extra_demand)`` items; returns shortfalls.
+
+    One solar evaluation and one shading gather cover every chunk of
+    every item, then a single ``(solar × shading) × η`` expression —
+    elementwise identical to ``Harvester.power_watts`` per chunk.
+    """
+    plans, mids, rows = _plan_settles(items, chunk_s)
+    powers: List[float] = []
+    if mids:
+        mids_arr = np.array(mids)
+        solar = harvest.solar.power_watts_batch(mids_arr)
+        shade = harvest.shading(mids_arr, solar, rows)
+        powers = ((solar * shade) * harvest.efficiency).tolist()
+    return _apply_settles(plans, powers)
 
 
 def _advance(battery, now_s: float) -> None:
@@ -249,65 +311,74 @@ def _start_period_batch(
     pending_windows: Dict[int, List[WindowEntry]],
     heap: List,
     seq: int,
-    shared_solar,
+    harvest: _Harvest,
     duration: float,
 ) -> int:
     """Process all PERIOD events sharing one timestamp; returns new seq.
 
-    Stages (settle → forecast → decide → bookkeeping) run batch-wide,
-    but per-node effects happen in batch order — the scalar pop order —
-    so window-bucket append order, heap sequence numbers and every
-    per-node RNG stream match the scalar sweep exactly.
+    Stages (harvest → settle and forecast → decide → bookkeeping) run
+    batch-wide, but per-node effects happen in batch order — the scalar
+    pop order — so window-bucket append order, heap sequence numbers and
+    every per-node RNG stream match the scalar sweep exactly.
     """
     config = sim.config
     window_s = config.window_s
-    _settle_items(
-        [(node, now_s, 0.0) for node in batch],
-        shared_solar,
-        config.settle_chunk_s(),
+    plans, mids, rows = _plan_settles(
+        [(node, now_s, 0.0) for node in batch], config.settle_chunk_s()
+    )
+    settled = len(mids)
+    counts = [node.windows_per_period for node in batch]
+    select = config.use_window_selection
+    # One solar evaluation for the settle chunks and the forecast
+    # windows together (power_watts_batch is elementwise).
+    points = np.array(mids)
+    if select:
+        max_count = max(counts)
+        forecast_mids = (now_s + np.arange(max_count) * window_s) + window_s / 2.0
+        points = np.concatenate([points, forecast_mids])
+    solar = harvest.solar.power_watts_batch(points) if points.size else points
+    settle_solar, forecast_solar = solar[:settled], solar[settled:]
+    if select and config.forecaster == "oracle":
+        # Oracle forecasts are the harvester's true energies, so the
+        # forecast windows join the settle chunks in one shading gather
+        # over the (rows × windows) day mask, then one matrix product
+        # with the ``((solar × shading) × η) × window`` operand order of
+        # ``window_energies_batch``.
+        pick = (np.arange(max_count) < np.array(counts)[:, None]) & (
+            forecast_solar != 0.0
+        )
+        pick_rows, pick_cols = np.nonzero(pick)
+        node_rows = np.array([node.row for node in batch], dtype=np.int64)
+        shade = harvest.shading(
+            np.concatenate([points[:settled], forecast_mids[pick_cols]]),
+            np.concatenate([settle_solar, forecast_solar[pick_cols]]),
+            np.concatenate([rows, node_rows[pick_rows]]),
+        )
+        matrix = np.ones((len(batch), max_count))
+        matrix[pick_rows, pick_cols] = shade[settled:]
+        green = (
+            (forecast_solar[None, :] * matrix) * harvest.efficiency
+        ) * window_s
+        shade = shade[:settled]
+    else:
+        shade = harvest.shading(points[:settled], settle_solar, rows)
+        if select:
+            # Rows are padded to the widest |T|; the scorer masks the
+            # padding infeasible, so the pad values are never read.
+            # Forecasts never read battery state, so they may precede
+            # the settles.
+            green = np.zeros((len(batch), max_count))
+            for i, (node, count) in enumerate(zip(batch, counts)):
+                green[i, :count] = node.forecaster.forecast_batch(
+                    now_s, window_s, count, solar_powers=forecast_solar[:count]
+                )
+    _apply_settles(
+        plans, ((settle_solar * shade) * harvest.efficiency).tolist()
     )
     for node in batch:
         node.metrics.record_generated()
 
-    counts = [node.windows_per_period for node in batch]
-    if config.use_window_selection:
-        max_count = max(counts)
-        mids = (now_s + np.arange(max_count) * window_s) + window_s / 2.0
-        solar_powers = shared_solar.power_watts_batch(mids)
-        if config.forecaster == "oracle":
-            # Oracle forecasts are the harvester's true energies; the
-            # whole cohort shares the solar vector, so only the per-node
-            # shading gather remains before one matrix product with the
-            # exact ``((solar × shading) × η) × window`` operand order of
-            # ``window_energies_batch``.  Night windows (zero solar)
-            # multiply to an exact 0.0 whatever the factor, so their
-            # shading draws are skipped (pure function of the index —
-            # skipping cannot perturb later values).
-            first = batch[0].harvester
-            shade = np.ones((len(batch), max_count))
-            if first.shading_sigma != 0.0:
-                day = solar_powers != 0.0
-                if day.any():
-                    grid = np.floor_divide(mids, first.shading_step_s).astype(
-                        np.int64
-                    )
-                    for i, node in enumerate(batch):
-                        mask = day[: counts[i]]
-                        if mask.any():
-                            shade[i, : counts[i]][mask] = kshading.gather(
-                                node.harvester, grid[: counts[i]][mask]
-                            )
-            green = (
-                (solar_powers[None, :] * shade) * first.efficiency
-            ) * window_s
-        else:
-            # Rows are padded to the widest |T|; the scorer masks the
-            # padding infeasible, so the pad values are never read.
-            green = np.zeros((len(batch), max_count))
-            for i, (node, count) in enumerate(zip(batch, counts)):
-                green[i, :count] = node.forecaster.forecast_batch(
-                    now_s, window_s, count, solar_powers=solar_powers[:count]
-                )
+    if select:
         # One padded scoring call for the whole batch: rows carry their
         # own |T| (per-row utilities, feasibility masked past counts).
         decisions: Dict[int, Tuple[bool, int, float]] = {}
@@ -583,7 +654,7 @@ def _resolve_batch(
     entries: List[WindowEntry],
     window_index: int,
     window_s: float,
-    shared_solar,
+    harvest: _Harvest,
 ) -> None:
     """Vectorized twin of ``MesoscopicSimulator._resolve``.
 
@@ -635,7 +706,7 @@ def _resolve_batch(
             window_start + outcome.finish_offset_s, entry.node.settled_until_s
         )
         items.append((entry.node, settle_time, demand))
-    shortfalls = _settle_items(items, shared_solar, sim.config.settle_chunk_s())
+    shortfalls = _settle_items(items, harvest, sim.config.settle_chunk_s())
     for entry, (node, _, demand), shortfall in zip(entries, items, shortfalls):
         outcome = outcomes[node.node_id]
         decision = entry.decision
@@ -715,7 +786,7 @@ def _resolve_batch(
 # ------------------------------------------------------------------- sweep
 
 
-def _refresh_batch(sim, now_s: float, shared_solar) -> None:
+def _refresh_batch(sim, now_s: float, harvest: _Harvest) -> None:
     """Batched twin of ``MesoscopicSimulator._refresh_degradation``."""
     started = time.perf_counter()
     compact = sim.config.effective_compact_trace()
@@ -723,7 +794,7 @@ def _refresh_batch(sim, now_s: float, shared_solar) -> None:
     nodes = list(sim.nodes.values())
     _settle_items(
         [(node, now_s, 0.0) for node in nodes],
-        shared_solar,
+        harvest,
         sim.config.settle_chunk_s(),
     )
     for node in nodes:
@@ -755,7 +826,7 @@ def run_sweep(sim) -> List[MonthlySample]:
     window_s = config.window_s
     duration = config.duration_s
     nodes = sim.nodes
-    shared_solar = next(iter(nodes.values())).harvester.solar
+    harvest = _Harvest(sim)
 
     PERIOD = 0
     state = sim._sweep_state
@@ -789,7 +860,7 @@ def run_sweep(sim) -> List[MonthlySample]:
         sim._events_executed += 1
 
         while next_refresh <= time_s:
-            _refresh_batch(sim, next_refresh, shared_solar)
+            _refresh_batch(sim, next_refresh, harvest)
             next_refresh += config.dissemination_interval_s
         while next_month <= time_s:
             month_index += 1
@@ -820,13 +891,13 @@ def run_sweep(sim) -> List[MonthlySample]:
                 pending_windows,
                 heap,
                 seq,
-                shared_solar,
+                harvest,
                 duration,
             )
         else:  # RESOLVE at the end of absolute window `payload`
             entries = pending_windows.pop(payload, [])
             if entries:
-                _resolve_batch(sim, entries, payload, window_s, shared_solar)
+                _resolve_batch(sim, entries, payload, window_s, harvest)
             if len(heap) > sim._peak_heap:
                 sim._peak_heap = len(heap)
 
@@ -836,6 +907,6 @@ def run_sweep(sim) -> List[MonthlySample]:
     state.month_index = month_index
     # Flush any windows scheduled past the horizon.
     for window_index, entries in sorted(pending_windows.items()):
-        _resolve_batch(sim, entries, window_index, window_s, shared_solar)
+        _resolve_batch(sim, entries, window_index, window_s, harvest)
     pending_windows.clear()
     return monthly

@@ -82,6 +82,7 @@ from .mesoscopic import (
     MesoscopicSimulator,
     MonthlySample,
     StaticAttempt,
+    reject_fault_plan,
 )
 from .metrics import NetworkMetrics, NodeMetrics
 from .packetlog import PacketLog
@@ -549,6 +550,15 @@ class LocalTransport:
                     },
                 )
             )
+        # Largest shard first (ties by cell index): the longest job
+        # starts earliest, shortening the round's makespan.  Only the
+        # submission order changes, never the packing or the results.
+        jobs.sort(
+            key=lambda job: (
+                -sum(len(p) for p in job.placements_by_cell.values()),
+                job.cells[0],
+            )
+        )
         scheduler = _Scheduler(
             engine="meso",
             workers=self.workers,
@@ -681,6 +691,7 @@ def run_sharded(
     """
     if config.shards is None:
         raise ConfigurationError("config.shards must be set for run_sharded")
+    reject_fault_plan(config)
     if config.tracing_enabled:
         raise ConfigurationError(
             "sharded execution does not support event tracing; run with "

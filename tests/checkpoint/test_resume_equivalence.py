@@ -160,6 +160,47 @@ class TestMesoscopicEngine:
         assert_equivalent(reference, resumed)
 
 
+class TestDietShadingResume:
+    """The vectorized sweep's shading table never enters a snapshot.
+
+    A resumed run rebuilds it lazily from an empty table; the factors
+    are pure functions of (node, grid index), so the resumed diet run —
+    coarse 2-h shading grid, float32 factors — must still match the
+    uninterrupted one bit for bit.
+    """
+
+    @pytest.mark.parametrize("pick", [0, -1])
+    def test_diet_shaded_run_resumed_mid_sweep(self, tmp_path, pick):
+        config = meso_config(
+            vectorized=True,
+            memory_profile="diet",
+            shading_sigma=0.3,
+            sample_nodes=(0, 2),
+            duration_s=3.0 * SECONDS_PER_DAY,
+        )
+        reference, resumed = run_and_resume(
+            MesoscopicSimulator, config, tmp_path, CADENCES["midday"], pick=pick
+        )
+        assert_equivalent(reference, resumed)
+
+    def test_snapshot_drops_shading_caches(self, tmp_path):
+        # The noisy forecaster gathers through each harvester's private
+        # table; the snapshot must carry neither it nor the scratch RNG,
+        # and the shared solar model must come back shared.
+        ckdir = str(tmp_path / "ck")
+        config = meso_config(
+            vectorized=True,
+            forecaster="noisy",
+            checkpoint_every_s=CADENCES["midday"],
+            checkpoint_dir=ckdir,
+        )
+        MesoscopicSimulator(config).run()
+        sim, _ = resume(os.path.join(ckdir, sorted(os.listdir(ckdir))[0]))
+        harvesters = [node.harvester for node in sim.nodes.values()]
+        assert all(h._table is None and h._rng_scratch is None for h in harvesters)
+        assert all(h.solar is sim.solar for h in harvesters)
+
+
 class TestCheckpointingIsObservationOnly:
     def test_checkpointing_does_not_change_results(self, tmp_path):
         config = meso_config(vectorized=False)

@@ -16,7 +16,9 @@ from repro.constants import SECONDS_PER_DAY
 from repro.energy import SolarModel
 from repro.energy.harvester import Harvester
 from repro.exceptions import ConfigurationError
+from repro.kernels.shading import ShadingTable
 from repro.sim import SimulationConfig, run_mesoscopic
+from repro.sim.mesoscopic_vec import shading_table_width
 
 
 def diet_config(**overrides):
@@ -77,8 +79,15 @@ class TestHarvesterDiet:
         diet = Harvester(solar=solar, node_seed=3, diet=True)
         assert exact.shading_step_s == 1800.0
         assert diet.shading_step_s == 7200.0
-        assert diet._shade_limit < exact._shade_limit
-        assert diet._shade_dtype is np.float32
+        # The diet grid needs fewer table slots per node, stored float32.
+        periods = dict(period_range_s=(960.0, 3600.0))
+        exact_width = shading_table_width(
+            diet_config(memory_profile="exact", **periods), exact.shading_step_s
+        )
+        diet_width = shading_table_width(diet_config(**periods), diet.shading_step_s)
+        assert diet_width < exact_width
+        assert ShadingTable([diet], 8).values.dtype == np.float32
+        assert ShadingTable([exact], 8).values.dtype == np.float64
 
     def test_scalar_and_batch_paths_agree_bitwise(self):
         harvester = Harvester(solar=SolarModel(), node_seed=5, diet=True)

@@ -255,3 +255,63 @@ class TestSettleTo:
             node.settle_to(now)
             assert node.settled_until_s >= now
         assert node.settled_until_s == 5400.0
+
+
+class TestFaultPlanRejected:
+    def test_non_empty_plan_raises(self):
+        from repro.exceptions import ConfigurationError
+        from repro.faults import FaultPlan
+
+        config = meso_config(faults=FaultPlan(ack_loss_probability=0.2))
+        with pytest.raises(ConfigurationError, match="exact engine"):
+            MesoscopicSimulator(config)
+
+    def test_empty_plan_is_allowed(self):
+        from repro.faults import FaultPlan
+
+        plain = run_mesoscopic(meso_config(duration_s=0.25 * SECONDS_PER_DAY))
+        empty = run_mesoscopic(
+            meso_config(duration_s=0.25 * SECONDS_PER_DAY, faults=FaultPlan())
+        )
+        assert plain.metrics.summary() == empty.metrics.summary()
+
+
+class TestNodeTemplates:
+    def test_nodes_share_per_sf_constants_and_solar(self):
+        sim = MesoscopicSimulator(meso_config(node_count=12, radius_m=5000.0))
+        nodes = list(sim.nodes.values())
+        assert all(node.harvester.solar is sim.solar for node in nodes)
+        assert [node.row for node in nodes] == list(range(len(nodes)))
+        by_sf = {}
+        for node in nodes:
+            by_sf.setdefault(node.tx_params.spreading_factor, []).append(node)
+        for sf_nodes in by_sf.values():
+            assert len({id(node.tx_params) for node in sf_nodes}) == 1
+
+    def test_template_matches_per_node_derivation(self):
+        config = meso_config()
+        link = LogDistanceLink(path_loss_exponent=config.path_loss_exponent)
+        from repro.sim.mesoscopic import NodeTemplate
+        from repro.sim.topology import build_topology
+
+        placement = build_topology(config, link)[0]
+        clouds = CloudProcess(seed=config.seed)
+        own = MesoNode(placement, config, clouds, link)
+        shared = MesoNode(
+            placement,
+            config,
+            clouds,
+            link,
+            template=NodeTemplate(config, placement.spreading_factor),
+        )
+        for attr in ("airtime_s", "tx_energy_j", "attempt_energy_j", "sleep_watts"):
+            assert getattr(own, attr) == getattr(shared, attr)
+        assert own.battery.capacity_j == config.battery_capacity_j(
+            placement.spreading_factor
+        )
+        assert own.battery.capacity_j == shared.battery.capacity_j
+        assert (
+            own.mac._selector.max_tx_energy_j
+            == shared.mac._selector.max_tx_energy_j
+            == config.max_tx_energy_j()
+        )

@@ -154,3 +154,58 @@ class TestShardValidation:
     def test_unsharded_config_rejected(self):
         with pytest.raises(Exception):
             run_sharded(sharded_config(shards=None))
+
+    def test_non_empty_fault_plan_rejected(self):
+        from repro.exceptions import ConfigurationError
+        from repro.faults import FaultPlan
+
+        config = sharded_config(
+            shards=2, faults=FaultPlan(ack_loss_probability=0.2)
+        )
+        with pytest.raises(ConfigurationError, match="exact engine"):
+            run_sharded(config)
+
+    def test_empty_fault_plan_allowed(self):
+        from repro.faults import FaultPlan
+
+        config = sharded_config(shards=2, duration_s=0.25 * SECONDS_PER_DAY)
+        plain = run_sharded(config)
+        empty = run_sharded(config.replace(faults=FaultPlan()))
+        assert fingerprint(empty) == fingerprint(plain)
+
+
+class TestLocalDispatchOrder:
+    def test_largest_shard_is_submitted_first(self, monkeypatch):
+        # Cells of 3, 5, 5 and 1 nodes: submission is by descending node
+        # count, ties by cell index; the jobs' packing is unchanged.
+        from repro.obs import MetricsRegistry
+        from repro.sim.sharded import LocalTransport, RoundRequest
+        from repro.sweep import executor
+
+        submitted = []
+
+        class RecordingScheduler:
+            def __init__(self, **kwargs):
+                pass
+
+            def run(self, jobs):
+                submitted.extend((job.index, job.cells) for job in jobs)
+                return {}, False
+
+        monkeypatch.setattr(executor, "_Scheduler", RecordingScheduler)
+        sizes = {0: 3, 1: 5, 2: 5, 3: 1}
+        cells = sorted(sizes)
+        request = RoundRequest(
+            round_no=1,
+            config=sharded_config(shards=4),
+            cell_ids=cells,
+            placements_by_cell={c: [None] * n for c, n in sizes.items()},
+            export_by_cell={},
+            foreign_by_cell={},
+            spill_by_cell={c: f"cell{c}.jsonl" for c in cells},
+            ckpt_by_cell={},
+            shard_count=4,
+            registry=MetricsRegistry(),
+        )
+        assert LocalTransport(workers=2).run_round(request) == {}
+        assert submitted == [(1, [1]), (2, [2]), (0, [0]), (3, [3])]

@@ -17,6 +17,7 @@ import math
 import pytest
 
 from repro.constants import SECONDS_PER_DAY
+from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan
 from repro.sim import SimulationConfig, run_mesoscopic
 
@@ -126,10 +127,13 @@ class TestVariants:
         assert_equivalent(scalar, vec)
 
     def test_fault_plan_config(self):
-        # The mesoscopic engine ignores fault plans (no event boundaries
-        # to inject at); both sweeps must ignore them identically.
+        # The mesoscopic engine has no event boundaries to inject faults
+        # at: both sweeps refuse a non-empty plan and agree on an empty one.
         plan = FaultPlan(ack_loss_probability=0.3, seed=7)
-        scalar, vec = run_pair(vec_config(faults=plan).as_h(0.5))
+        for vectorized in (False, True):
+            with pytest.raises(ConfigurationError):
+                run_mesoscopic(vec_config(faults=plan, vectorized=vectorized))
+        scalar, vec = run_pair(vec_config(faults=FaultPlan(seed=7)).as_h(0.5))
         assert_equivalent(scalar, vec)
 
     def test_dense_contention(self):
