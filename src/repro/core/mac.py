@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -479,18 +479,21 @@ def batch_choose_windows_mixed(
     green_matrix: np.ndarray,
     nominal_tx_energies_j: Sequence[float],
     counts: Sequence[int],
-    now_s: float,
+    now_s: Union[float, Sequence[float]],
 ) -> MixedBatchWindowDecision:
     """:func:`batch_choose_windows` for rows with different ``|T|``.
 
     ``green_matrix`` is padded to the widest count; ``counts[i]`` is
-    node ``i``'s real window count.  Row ``i``'s decision is
-    bit-identical to the scalar :meth:`~BatteryLifespanAwareMac.choose_window`
-    with ``counts[i]`` windows — the per-window retransmission
-    multipliers are pure per-index statistics (a wider slice of the
-    same cached array), and :func:`score_windows_mixed` masks the pad
-    columns infeasible.  Estimator side effects happen in batch order,
-    as the scalar pop order would.
+    node ``i``'s real window count.  ``now_s`` is one period start for
+    every row or a sequence of one per row (rows decided ahead of
+    their own instant read ``w_u`` staleness at their own time).  Row
+    ``i``'s decision is bit-identical to the scalar
+    :meth:`~BatteryLifespanAwareMac.choose_window` with ``counts[i]``
+    windows — the per-window retransmission multipliers are pure
+    per-index statistics (a wider slice of the same cached array), and
+    :func:`score_windows_mixed` masks the pad columns infeasible.
+    Estimator side effects happen in batch order, as the scalar pop
+    order would.
     """
     if not macs:
         raise ConfigurationError("at least one MAC is required")
@@ -498,6 +501,12 @@ def batch_choose_windows_mixed(
     if green.ndim != 2 or green.shape[0] != len(macs):
         raise ConfigurationError("green_matrix must be (len(macs), windows)")
     n, windows = green.shape
+    times = np.asarray(now_s, dtype=np.float64)
+    if times.ndim == 0:
+        times = np.full(n, times)
+    elif times.shape != (n,):
+        raise ConfigurationError("now_s must be one time or one per row")
+    times = times.tolist()
     est = np.empty((n, windows))
     weights = np.empty(n)
     caps = np.empty(n)
@@ -508,7 +517,7 @@ def batch_choose_windows_mixed(
         est[i] = estimator.estimate_j * mac._retx_estimator.window_energy_multipliers(
             windows
         )
-        weights[i] = mac.effective_degradation(now_s)
+        weights[i] = mac.effective_degradation(times[i])
         caps[i] = mac._selector.soc_cap_j
     selector = macs[0]._selector
     return score_windows_mixed(

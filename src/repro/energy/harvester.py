@@ -10,8 +10,8 @@ but not identical generation.
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -53,10 +53,10 @@ class Harvester:
     diet: bool = False
 
     _cache: dict = field(default_factory=dict, init=False, repr=False)
-    #: Scratch RNG reused (re-seeded) by :meth:`_shading_at`; seeding
-    #: fully resets the generator state (including the spare Gaussian),
-    #: so reuse draws the exact values a fresh ``Random(seed)`` would.
-    _rng_scratch: Optional[random.Random] = field(
+    #: Scratch C-level generator reused (re-seeded) by :meth:`_shading_at`;
+    #: seeding fully resets its state, so reuse draws the exact values a
+    #: fresh ``Random(seed)`` would.
+    _rng_scratch: Optional[_random.Random] = field(
         default=None, init=False, repr=False
     )
     #: Private one-row shading table behind :meth:`shading_factors_batch`
@@ -118,11 +118,18 @@ class Harvester:
         """
         rng = self._rng_scratch
         if rng is None:
-            rng = self._rng_scratch = random.Random()
+            rng = self._rng_scratch = _random.Random()
+        # ``random.Random(seed).gauss(mu, σ)`` inlined: the C-level seed
+        # (what ``Random.seed`` does for an int, minus resetting the spare
+        # Gaussian this path never reads) and one Box–Muller draw with
+        # ``gauss``'s exact expression and operand order.
         rng.seed((self.node_seed << 24) ^ index)
+        draw = rng.random
+        x2pi = draw() * math.tau
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - draw()))
+        sigma = self.shading_sigma
         value = min(
-            1.5,
-            math.exp(rng.gauss(-self.shading_sigma**2 / 2.0, self.shading_sigma)),
+            1.5, math.exp(-sigma**2 / 2.0 + (math.cos(x2pi) * g2rad) * sigma)
         )
         if self.diet:
             return float(np.float32(value))

@@ -20,8 +20,15 @@ from repro.checkpoint import (
     resume,
 )
 from repro.constants import SECONDS_PER_DAY
+from repro.exceptions import SimulationInterrupted
 from repro.faults import FaultPlan
-from repro.sim import MesoscopicSimulator, SimulationConfig, Simulator
+from repro.sim import (
+    MesoscopicSimulator,
+    SimulationConfig,
+    Simulator,
+    mesoscopic,
+    mesoscopic_vec,
+)
 
 #: Cadences exercised: mid-day (no alignment with any period/window
 #: boundary) and a clean period-boundary fraction of a day.
@@ -199,6 +206,141 @@ class TestDietShadingResume:
         harvesters = [node.harvester for node in sim.nodes.values()]
         assert all(h._table is None and h._rng_scratch is None for h in harvesters)
         assert all(h.solar is sim.solar for h in harvesters)
+
+
+def telemetry_config(**overrides):
+    """A vectorized run of the telemetry profile (4-8 h periods, diet)."""
+    defaults = dict(
+        node_count=30,
+        radius_m=4000.0,
+        period_range_s=(240 * 60.0, 480 * 60.0),
+        window_s=300.0,
+        solar_peak_transmissions=10.0,
+        channel_count=8,
+        omega=8,
+        memory_profile="diet",
+        vectorized=True,
+    )
+    defaults.update(overrides)
+    return meso_config(**defaults).as_h(0.5)
+
+
+#: A cadence off the 300 s window grid (4000 / 300 is not whole).
+OFF_GRID_CADENCE_S = 4000.0
+
+
+@pytest.fixture
+def held_at_save(monkeypatch):
+    """Decided-but-unbooked period events held at each snapshot write.
+
+    The vectorized sweep decides a period epoch's events ahead of their
+    pops; every snapshot (cadence or rescue) must fall between epochs,
+    so each entry of the returned list must be 0.
+    """
+    outstanding = set()
+    held = []
+    decide = mesoscopic_vec._decide_periods
+    book = mesoscopic_vec._book_periods
+    save = mesoscopic.save_checkpoint
+
+    def tracking_decide(sim, batch, times, harvest):
+        outstanding.update((node.node_id, t) for node, t in zip(batch, times))
+        return decide(sim, batch, times, harvest)
+
+    def tracking_book(sim, batch, now_s, *args):
+        outstanding.difference_update((node.node_id, now_s) for node in batch)
+        return book(sim, batch, now_s, *args)
+
+    def tracking_save(sim, *args, **kwargs):
+        held.append(len(outstanding))
+        return save(sim, *args, **kwargs)
+
+    monkeypatch.setattr(mesoscopic_vec, "_decide_periods", tracking_decide)
+    monkeypatch.setattr(mesoscopic_vec, "_book_periods", tracking_book)
+    monkeypatch.setattr(mesoscopic, "save_checkpoint", tracking_save)
+    return held
+
+
+class TestLookaheadEpochResume:
+    """Period epochs never straddle a snapshot, cadence or rescue."""
+
+    @pytest.mark.parametrize("pick", [0, -1])
+    def test_off_grid_cadence(self, tmp_path, held_at_save, pick):
+        reference, resumed = run_and_resume(
+            MesoscopicSimulator,
+            telemetry_config(),
+            tmp_path,
+            OFF_GRID_CADENCE_S,
+            pick=pick,
+        )
+        assert_equivalent(reference, resumed)
+        assert held_at_save and not any(held_at_save)
+
+    def test_pending_windows_survive_resume(self, tmp_path, monkeypatch, held_at_save):
+        # 300 s windows on 16-20 min periods: from sunrise on, a snapshot
+        # often holds a window resolving inside the next epoch, before
+        # its node's next period start, so the resumed sweep must
+        # rebuild that pending resolve time from the window buckets.
+        # Every snapshot is kept and resumed from a copy.
+        save = mesoscopic.save_checkpoint
+        monkeypatch.setattr(
+            mesoscopic,
+            "save_checkpoint",
+            lambda *args, **kwargs: save(*args, keep_last=10**6, **kwargs),
+        )
+        config = meso_config(
+            node_count=10,
+            radius_m=4000.0,
+            window_s=300.0,
+            duration_s=SECONDS_PER_DAY,
+            vectorized=True,
+            checkpoint_every_s=OFF_GRID_CADENCE_S,
+            checkpoint_dir=str(tmp_path / "ck"),
+        )
+        reference = MesoscopicSimulator(config).run()
+        shutil.copytree(tmp_path / "ck", tmp_path / "snapshots")
+        names = sorted(os.listdir(tmp_path / "snapshots"))
+        assert len(names) == int(SECONDS_PER_DAY // OFF_GRID_CADENCE_S)
+        for name in names:
+            sim, _ = resume(str(tmp_path / "snapshots" / name))
+            assert_equivalent(reference, sim.run())
+        assert held_at_save and not any(held_at_save)
+
+    def test_interrupt_requested_mid_epoch(self, tmp_path, monkeypatch, held_at_save):
+        config = telemetry_config()
+
+        def checkpointed(name):
+            return config.replace(
+                checkpoint_every_s=OFF_GRID_CADENCE_S,
+                checkpoint_dir=str(tmp_path / name),
+            )
+
+        reference = MesoscopicSimulator(checkpointed("reference")).run()
+
+        # Ask to stop as soon as an epoch spanning several instants has
+        # been decided half a day in; the sweep must drain it first.
+        epoch_last = []
+        decide = mesoscopic_vec._decide_periods
+
+        def requesting_decide(sim, batch, times, harvest):
+            if not epoch_last and len(set(times)) > 1 and min(times) > 43200.0:
+                epoch_last.append(max(times))
+            return decide(sim, batch, times, harvest)
+
+        monkeypatch.setattr(mesoscopic_vec, "_decide_periods", requesting_decide)
+        monkeypatch.setattr(mesoscopic_vec, "stop_requested", lambda: bool(epoch_last))
+        with pytest.raises(SimulationInterrupted) as stopped:
+            MesoscopicSimulator(checkpointed("interrupted")).run()
+        assert stopped.value.checkpoint_path is not None
+        assert stopped.value.time_s >= epoch_last[0]
+        assert stopped.value.time_s < config.duration_s
+
+        monkeypatch.setattr(mesoscopic_vec, "stop_requested", lambda: False)
+        sim, header = resume(stopped.value.checkpoint_path)
+        assert header["time_s"] == stopped.value.time_s
+        resumed = sim.run()
+        assert_equivalent(reference, resumed)
+        assert held_at_save and not any(held_at_save)
 
 
 class TestCheckpointingIsObservationOnly:

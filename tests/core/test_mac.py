@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -11,6 +12,7 @@ from repro.core import (
     ThresholdOnlyMac,
     uniform_offset_in_window,
 )
+from repro.core.mac import batch_choose_windows_mixed
 from repro.exceptions import ConfigurationError
 
 E_TX = 0.06
@@ -135,6 +137,89 @@ class TestBatteryLifespanAwareMac:
         )
         mac.choose_window(context())
         assert mac.tx_energy_estimate_j == pytest.approx(E_TX)
+
+
+class TestBatchPerRowTimes:
+    """``batch_choose_windows_mixed`` with one period start per row."""
+
+    TTL = 100.0
+    TIMES = [40.0, 100.0, 130.0, 250.0, 400.0, 700.0]
+    COUNTS = [6, 4, 6, 5, 6, 3]
+
+    def twins(self):
+        """Two identical MAC sets holding a ``w_u`` received at t = 0."""
+        sets = []
+        for _ in range(2):
+            macs = []
+            for _ in self.TIMES:
+                mac = BatteryLifespanAwareMac(
+                    soc_cap=0.5,
+                    max_tx_energy_j=E_MAX,
+                    nominal_tx_energy_j=E_TX,
+                    w_u_ttl_s=self.TTL,
+                )
+                mac.set_normalized_degradation(0.9, received_at_s=0.0)
+                macs.append(mac)
+            sets.append(macs)
+        return sets
+
+    def green(self):
+        # Window 0 is dark and every later window sunny: a trusted w_u
+        # steers away from window 0, a decayed one back toward it.
+        green = np.full((len(self.TIMES), max(self.COUNTS)), E_TX * 2)
+        green[:, 0] = 0.0
+        return green
+
+    def test_rows_match_scalar_decisions_across_the_ttl(self):
+        batch_macs, scalar_macs = self.twins()
+        green = self.green()
+        result = batch_choose_windows_mixed(
+            batch_macs,
+            np.full(len(self.TIMES), E_TX * 2),
+            green,
+            [E_TX] * len(self.TIMES),
+            self.COUNTS,
+            self.TIMES,
+        )
+        stale = [scalar_macs[0].weight_is_stale(t) for t in self.TIMES]
+        assert any(stale) and not all(stale)
+        for i, (mac, now_s, count) in enumerate(
+            zip(scalar_macs, self.TIMES, self.COUNTS)
+        ):
+            decision = mac.choose_window(
+                PeriodContext(
+                    battery_energy_j=E_TX * 2,
+                    green_forecast_j=green[i, :count].tolist(),
+                    nominal_tx_energy_j=E_TX,
+                    period_start_s=now_s,
+                )
+            )
+            assert bool(result.success[i]) == decision.success
+            assert int(result.window_index[i]) == decision.window_index
+            assert result.scores[i, :count].tolist() == decision.scores
+            assert result.difs[i, :count].tolist() == decision.difs
+        assert len(set(result.window_index.tolist())) > 1
+
+    def test_scalar_time_equals_repeated_row_time(self):
+        first, second = self.twins()
+        args = (np.full(len(self.TIMES), E_TX), self.green(), [E_TX] * 6, self.COUNTS)
+        one = batch_choose_windows_mixed(first, *args, 250.0)
+        rows = batch_choose_windows_mixed(second, *args, [250.0] * 6)
+        assert one.scores.tolist() == rows.scores.tolist()
+        assert one.window_index.tolist() == rows.window_index.tolist()
+
+    @pytest.mark.parametrize("now_s", [[0.0] * 5, [0.0] * 7, [[0.0] * 6]])
+    def test_row_time_count_must_match_rows(self, now_s):
+        macs, _ = self.twins()
+        with pytest.raises(ConfigurationError):
+            batch_choose_windows_mixed(
+                macs,
+                np.full(6, E_TX),
+                self.green(),
+                [E_TX] * 6,
+                self.COUNTS,
+                now_s,
+            )
 
 
 class TestUniformOffset:

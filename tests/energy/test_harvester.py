@@ -1,6 +1,12 @@
 """Tests for the per-node harvester."""
 
+import math
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy import CloudProcess, Harvester, SolarModel
 from repro.exceptions import ConfigurationError
@@ -74,3 +80,38 @@ class TestHarvester:
         model = SolarModel(peak_watts=1.0)
         with pytest.raises(ConfigurationError):
             Harvester(solar=model, shading_sigma=-0.1)
+
+
+def reference_shading(node_seed, index, sigma, diet):
+    """The shading factor through ``random.Random(seed).gauss``."""
+    rng = random.Random((node_seed << 24) ^ index)
+    value = min(1.5, math.exp(rng.gauss(-sigma**2 / 2.0, sigma)))
+    return float(np.float32(value)) if diet else value
+
+
+class TestShadingDraw:
+    """``_shading_at`` inlines ``gauss``; it must keep its exact bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        node_seed=st.integers(min_value=0, max_value=10**9),
+        index=st.integers(min_value=0, max_value=2**40),
+        sigma=st.floats(min_value=1e-6, max_value=2.0),
+        diet=st.booleans(),
+    )
+    def test_matches_random_gauss_expression(self, node_seed, index, sigma, diet):
+        model = SolarModel(peak_watts=1.0)
+        harvester = Harvester(
+            solar=model, node_seed=node_seed, shading_sigma=sigma, diet=diet
+        )
+        expected = reference_shading(node_seed, index, sigma, diet)
+        # Twice: the reused scratch generator must reseed fully.
+        assert harvester._shading_at(index) == expected
+        assert harvester._shading_at(index) == expected
+
+    def test_interleaved_indices_match(self):
+        harvester = make_harvester(seed=77, shading=0.4)
+        for index in (5, 3, 5, 1 << 30, 0, 3):
+            assert harvester._shading_at(index) == reference_shading(
+                77, index, 0.4, False
+            )

@@ -19,7 +19,12 @@ import pytest
 from repro.constants import SECONDS_PER_DAY
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan
-from repro.sim import SimulationConfig, run_mesoscopic
+from repro.sim import (
+    MesoscopicSimulator,
+    SimulationConfig,
+    mesoscopic_vec,
+    run_mesoscopic,
+)
 
 
 def vec_config(**overrides):
@@ -148,6 +153,91 @@ class TestVariants:
             ).as_h(0.5)
         )
         assert_equivalent(scalar, vec)
+
+
+def telemetry_config(**overrides):
+    """The telemetry scale profile: 4-8 h periods, 300 s windows, diet."""
+    defaults = dict(
+        node_count=40,
+        period_range_s=(240 * 60.0, 480 * 60.0),
+        window_s=300.0,
+        solar_peak_transmissions=10.0,
+        channel_count=8,
+        omega=8,
+        memory_profile="diet",
+    )
+    defaults.update(overrides)
+    return vec_config(**defaults).as_h(0.5)
+
+
+class TestLookaheadEpochs:
+    """Period epochs decide many instants per batch, bit-identically.
+
+    Two days cross a degradation refresh, which bounds an epoch.  The
+    decide batches are counted against the scalar sweep's same-instant
+    cohorts: fewer batches than cohorts proves the lookahead fired.
+    """
+
+    def run_counted(self, monkeypatch, config):
+        """Run both sweeps; returns the scalar result and the number of
+        straggler batches (decided while an epoch still held events)."""
+        decide_calls = []
+        outstanding = set()
+        stragglers = []
+        decide = mesoscopic_vec._decide_periods
+        book = mesoscopic_vec._book_periods
+
+        def counting_decide(sim, batch, times, harvest):
+            decide_calls.append(len(set(times)))
+            if outstanding:
+                stragglers.append(len(batch))
+            outstanding.update((node.node_id, t) for node, t in zip(batch, times))
+            return decide(sim, batch, times, harvest)
+
+        def tracking_book(sim, batch, now_s, *args):
+            outstanding.difference_update((node.node_id, now_s) for node in batch)
+            return book(sim, batch, now_s, *args)
+
+        cohorts = set()
+        start_period = MesoscopicSimulator._start_period
+
+        def recording_start(self, node, now_s, *args):
+            cohorts.add(now_s)
+            return start_period(self, node, now_s, *args)
+
+        monkeypatch.setattr(mesoscopic_vec, "_decide_periods", counting_decide)
+        monkeypatch.setattr(mesoscopic_vec, "_book_periods", tracking_book)
+        monkeypatch.setattr(MesoscopicSimulator, "_start_period", recording_start)
+        scalar, vec = run_pair(config)
+        assert_equivalent(scalar, vec)
+        assert 0 < len(decide_calls) < len(cohorts)
+        assert max(decide_calls) > 1  # some batch spans several instants
+        assert not outstanding
+        return scalar, len(stragglers)
+
+    def test_telemetry_shape(self, monkeypatch):
+        config = telemetry_config()
+        assert config.dissemination_interval_s < config.duration_s
+        scalar, _ = self.run_counted(monkeypatch, config)
+        assert scalar.metrics.summary()["avg_prr"] > 0.0
+
+    def test_telemetry_shape_jittered_boot(self, monkeypatch):
+        self.run_counted(
+            monkeypatch, telemetry_config(synchronized_start=False, seed=7)
+        )
+
+    def test_refreshes_bound_epochs(self, monkeypatch):
+        # Refreshes every ~2 h, off the window grid and often by day: an
+        # epoch running past one would decide with the stale w_u.
+        self.run_counted(monkeypatch, telemetry_config(dissemination_interval_s=7000.0))
+
+    def test_pending_windows_leave_nodes_to_their_own_pop(self, monkeypatch):
+        # Three to four 300 s windows per period: a window chosen last
+        # period often resolves inside the next epoch, before the node's
+        # next period start, so that node must wait for its own pop.
+        config = vec_config(window_s=300.0, period_range_s=(960.0, 1200.0))
+        _, stragglers = self.run_counted(monkeypatch, config.as_h(0.5))
+        assert stragglers > 0
 
 
 class TestTracingFallback:
