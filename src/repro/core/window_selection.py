@@ -307,7 +307,8 @@ class MixedBatchWindowDecision:
     Rows are padded to the widest ``|T|``; ``utilities`` is the full
     ``(N, T_max)`` matrix (row ``i`` holds ``fn(t, counts[i])`` for
     ``t < counts[i]`` and 0 beyond), and columns at or past a row's
-    count were masked infeasible before selection.
+    count were masked infeasible before selection.  ``weights`` holds
+    the ``w_u`` each row was scored with.
     """
 
     success: np.ndarray
@@ -315,6 +316,7 @@ class MixedBatchWindowDecision:
     utilities: np.ndarray
     scores: np.ndarray
     difs: np.ndarray
+    weights: np.ndarray
 
     def chosen_utilities(self) -> np.ndarray:
         """Utility of each node's chosen window (0.0 on FAIL)."""
@@ -405,4 +407,5 @@ def score_windows_mixed(
         utilities=utilities,
         scores=scores,
         difs=difs,
+        weights=w,
     )

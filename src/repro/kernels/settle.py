@@ -10,9 +10,10 @@ the recurrence is a kernel with a fixed operation order rather than a
 vectorized expression (each chunk's ops depend on the previous chunk's
 stored energy).
 
-``recurrence`` returns the per-chunk clamped SoC samples plus the final
-battery/trace-integral state; the caller (``mesoscopic_vec``) feeds the
-samples through the trace-merge and rainflow kernels.
+``recurrence`` returns the per-chunk clamped SoC samples, the final
+battery/trace-integral state and the chunks that fell short; the caller
+(``mesoscopic_vec``) feeds the samples through the trace-merge and
+rainflow kernels and reports the short chunks as brown-outs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from . import BACKEND
 
 _PROF = hot_profiler()
 
+#: A chunk whose unmet demand exceeds this is a brown-out (the
+#: threshold ``SoftwareDefinedSwitch.apply_window`` reports at).
+BROWNOUT_J = 1e-12
+
 
 def _recurrence_python(
     ends: Sequence[float],
@@ -42,9 +47,12 @@ def _recurrence_python(
     prev_t: float,
     prev_c: float,
     integral: float,
-) -> Tuple[List[float], float, float, float, float, float]:
+) -> Tuple[
+    List[float], float, float, float, float, float, List[Tuple[int, float]]
+]:
     """Reference implementation: the exact scalar chunk loop."""
     shortfall = 0.0
+    short: List[Tuple[int, float]] = []
     socs: List[float] = []
     append = socs.append
     last = len(ends) - 1
@@ -65,7 +73,10 @@ def _recurrence_python(
                 stored += accepted
         elif deficit > 0.0:
             used = stored if stored < deficit else deficit
-            shortfall += deficit - used
+            unmet = deficit - used
+            shortfall += unmet
+            if unmet > BROWNOUT_J:
+                short.append((i, unmet))
             stored -= used
             if stored < 0.0:
                 stored = 0.0
@@ -81,7 +92,7 @@ def _recurrence_python(
         prev_t = t
         prev_c = clamped
         append(clamped)
-    return socs, stored, shortfall, integral, prev_t, prev_c
+    return socs, stored, shortfall, integral, prev_t, prev_c, short
 
 
 if BACKEND == "numba":
@@ -94,6 +105,9 @@ if BACKEND == "numba":
     ):  # pragma: no cover - exercised only with Numba installed
         n = ends.shape[0]
         socs = np.empty(n)
+        short_idx = np.empty(n, dtype=np.int64)
+        short_j = np.empty(n)
+        n_short = 0
         shortfall = 0.0
         bad = -1
         last = n - 1
@@ -113,14 +127,22 @@ if BACKEND == "numba":
                     stored += accepted
             elif deficit > 0.0:
                 used = stored if stored < deficit else deficit
-                shortfall += deficit - used
+                unmet = deficit - used
+                shortfall += unmet
+                if unmet > BROWNOUT_J:
+                    short_idx[n_short] = i
+                    short_j[n_short] = unmet
+                    n_short += 1
                 stored -= used
                 if stored < 0.0:
                     stored = 0.0
             soc = stored / capacity_j
             if not (0.0 <= soc <= 1.0 + 1e-9):
                 bad = i
-                return socs, stored, shortfall, integral, prev_t, prev_c, bad
+                return (
+                    socs, stored, shortfall, integral, prev_t, prev_c,
+                    short_idx[:n_short], short_j[:n_short], bad,
+                )
             clamped = soc if soc <= 1.0 else 1.0
             t = ends[i]
             if have_prev:
@@ -130,13 +152,19 @@ if BACKEND == "numba":
             prev_t = t
             prev_c = clamped
             socs[i] = clamped
-        return socs, stored, shortfall, integral, prev_t, prev_c, bad
+        return (
+            socs, stored, shortfall, integral, prev_t, prev_c,
+            short_idx[:n_short], short_j[:n_short], bad,
+        )
 
     def _recurrence_numba(
         ends, durations, powers, sleep_w, extra_j, stored, limit_j,
         capacity_j, have_prev, prev_t, prev_c, integral,
     ):  # pragma: no cover - exercised only with Numba installed
-        socs, stored, shortfall, integral, prev_t, prev_c, bad = _recurrence_jit(
+        (
+            socs, stored, shortfall, integral, prev_t, prev_c,
+            short_idx, short_j, bad,
+        ) = _recurrence_jit(
             np.asarray(ends, dtype=np.float64),
             np.asarray(durations, dtype=np.float64),
             np.asarray(powers, dtype=np.float64),
@@ -145,7 +173,8 @@ if BACKEND == "numba":
         )
         if bad >= 0:
             raise ConfigurationError("SoC outside [0, 1]")
-        return socs, stored, shortfall, integral, prev_t, prev_c
+        short = list(zip(short_idx.tolist(), short_j.tolist()))
+        return socs, stored, shortfall, integral, prev_t, prev_c, short
 
     _recurrence_impl = _recurrence_numba
 else:
@@ -158,10 +187,12 @@ def recurrence(
 ):
     """Run the settle-chunk recurrence on the active backend.
 
-    Returns ``(socs, stored, shortfall, integral, last_t, last_soc)``
-    where ``socs`` holds the per-chunk clamped SoC samples (a list on
-    the NumPy backend, an ndarray on the Numba backend — callers index
-    and iterate, both support that).
+    Returns ``(socs, stored, shortfall, integral, last_t, last_soc,
+    short)`` where ``socs`` holds the per-chunk clamped SoC samples (a
+    list on the NumPy backend, an ndarray on the Numba backend — callers
+    index and iterate, both support that) and ``short`` lists the
+    ``(chunk index, unmet joules)`` of every chunk whose unmet demand
+    exceeds :data:`BROWNOUT_J`.
     """
     if not _PROF.enabled:
         return _recurrence_impl(

@@ -50,9 +50,10 @@ def _run_both(case):
 
 
 def _assert_equal(kernel, reference):
-    k_socs, k_stored, k_short, k_integral, k_t, k_c = kernel
-    r_socs, r_stored, r_short, r_integral, r_t, r_c = reference
+    k_socs, k_stored, k_short, k_integral, k_t, k_c, k_chunks = kernel
+    r_socs, r_stored, r_short, r_integral, r_t, r_c, r_chunks = reference
     assert list(k_socs) == list(r_socs)
+    assert list(k_chunks) == list(r_chunks)
     assert k_stored == r_stored
     assert k_short == r_short
     assert k_integral == r_integral
@@ -95,6 +96,22 @@ class TestRecurrenceEquivalence:
         _assert_equal(kernel, reference)
         assert kernel[1] == 0.0  # battery empty
         assert kernel[2] > 0.0  # unmet demand recorded
+        # Each short chunk is listed once, in order, and the listed
+        # unmet joules add up to the total in the same order.
+        short = kernel[6]
+        assert [i for i, _ in short] == sorted({i for i, _ in short})
+        total = 0.0
+        for _, unmet in short:
+            assert unmet > settle.BROWNOUT_J
+            total += unmet
+        assert total == kernel[2]
+
+    def test_funded_chunks_are_not_short(self):
+        case = _random_case(random.Random(5), chunks=8)
+        case.update(powers=[1.0] * 8, extra_j=0.0)  # harvest covers all
+        kernel, reference = _run_both(case)
+        _assert_equal(kernel, reference)
+        assert kernel[6] == [] and kernel[2] == 0.0
 
     def test_charge_clamps_at_limit(self):
         case = dict(

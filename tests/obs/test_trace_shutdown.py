@@ -10,7 +10,7 @@ import pytest
 
 from repro.constants import SECONDS_PER_DAY
 from repro.obs import JsonlSink, TraceBus, iter_jsonl
-from repro.sim import MesoscopicSimulator, SimulationConfig, Simulator
+from repro.sim import MesoscopicSimulator, SimulationConfig, Simulator, mesoscopic_vec
 
 
 def traced_config(**overrides):
@@ -49,16 +49,16 @@ class TestSinkFlushOnEngineDeath:
     def test_meso_engine_flushes_trace_on_exception(self, tmp_path, monkeypatch):
         path = str(tmp_path / "trace.jsonl")
         sim = MesoscopicSimulator(traced_config(trace_path=path))
-        original = MesoscopicSimulator._start_period
+        original = mesoscopic_vec._book_periods
         calls = {"n": 0}
 
-        def dying(self, *args):
+        def dying(*args):
             calls["n"] += 1
             if calls["n"] > 5:
                 raise RuntimeError("meso explosion")
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(MesoscopicSimulator, "_start_period", dying)
+        monkeypatch.setattr(mesoscopic_vec, "_book_periods", dying)
         with pytest.raises(RuntimeError, match="meso explosion"):
             sim.run()
         events = list(iter_jsonl(path))
