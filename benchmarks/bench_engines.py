@@ -40,7 +40,6 @@ from repro.constants import SECONDS_PER_DAY
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_obs.json"
 PERF_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_perf.json"
-VEC_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_vec.json"
 SCALE_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_scale.json"
 
 #: The scale sweep's traffic profile ("telemetry"): 4-8 h sampling
@@ -191,172 +190,6 @@ def run_longhorizon(
             float(before["wall_s"]) / after["wall_s"], 2
         )
     return report
-
-
-def run_vec_child(variant: str, nodes: int, days: float) -> Dict[str, object]:
-    """One vec-compare leg, run to be printed as JSON by ``--vec-child``.
-
-    Executed in a *fresh subprocess* per leg so ``peak_rss_kb`` is the
-    leg's own high-water mark — ``ru_maxrss`` is a process-lifetime
-    cumulative maximum, so two legs measured in one process would
-    always report the first leg's (higher-so-far) peak for both.
-
-    The timed run is NOT profiled: per-kernel accounting costs ~1 µs
-    per call and the vectorized leg makes tens of millions of kernel
-    calls, which would shave several percent off the reported speedup.
-    Per-kernel attribution instead comes from a second, shorter
-    profiled pass (capped at 30 simulated days) whose kernel *shares*
-    are representative even though its absolute wall seconds are not.
-    """
-    from repro.kernels import backend as kernel_backend
-    from repro.obs.profiling import hot_profiler
-
-    config = SimulationConfig(
-        node_count=nodes, duration_s=days * SECONDS_PER_DAY, seed=42
-    ).as_h(0.5)
-    start = time.perf_counter()
-    result = run_mesoscopic(config.replace(vectorized=(variant == "vectorized")))
-    wall = time.perf_counter() - start
-    per_kernel: Dict[str, Dict[str, object]] = {}
-    profile_days = min(days, 30.0)
-    if variant == "vectorized":
-        profiler = hot_profiler()
-        profiler.reset()
-        profiler.enable()
-        try:
-            run_mesoscopic(
-                config.replace(
-                    vectorized=True,
-                    duration_s=profile_days * SECONDS_PER_DAY,
-                )
-            )
-        finally:
-            profiler.disable()
-        per_kernel = {
-            name: {
-                "calls": stats["calls"],
-                "wall_s": round(stats["wall_s"], 3),
-            }
-            for name, stats in profiler.stats.items()
-        }
-        profiler.reset()
-    manifest = result.manifest
-    return {
-        "capture": {
-            "wall_s": round(wall, 3),
-            "sim_s_per_wall_s": round(manifest.sim_s_per_wall_s or 0.0, 1),
-            "events_executed": manifest.events_executed,
-            "peak_queue_depth": manifest.peak_queue_depth,
-            "peak_rss_kb": _peak_rss_kb(),
-            "avg_prr": result.metrics.avg_prr,
-        },
-        "kernels": {
-            "backend": kernel_backend(),
-            "profile_days": profile_days if variant == "vectorized" else None,
-            "per_kernel": per_kernel,
-        },
-        "node_metrics": {
-            str(node_id): vars(node) for node_id, node in result.metrics.nodes.items()
-        },
-    }
-
-
-def _spawn_vec_child(
-    variant: str, nodes: int, days: float
-) -> Dict[str, object]:
-    """Run one leg in a fresh interpreter and parse its JSON output."""
-    import os
-    import subprocess
-
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = (
-        package_root
-        if not env.get("PYTHONPATH")
-        else package_root + os.pathsep + env["PYTHONPATH"]
-    )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(pathlib.Path(__file__).resolve()),
-            "--vec-child",
-            variant,
-            "--nodes",
-            str(nodes),
-            "--days",
-            str(days),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def run_veccompare(
-    nodes: int = 500, days: float = 365.0, smoke: bool = False
-) -> Dict[str, object]:
-    """Scalar-vs-vectorized mesoscopic comparison → BENCH_vec.json.
-
-    Runs the same seeded H-50 configuration through the scalar reference
-    sweep and the vectorized fast path — each leg in its own fresh
-    subprocess, so the two ``peak_rss_kb`` figures are independent —
-    records both wall times plus the speedup, and cross-checks every
-    per-node metric field for exact equality (the vectorized path claims
-    bit-identity, not tolerance; JSON float round-trips are exact, so
-    comparing across the process boundary loses nothing).
-    """
-    if smoke:
-        # Large enough that kernel work dominates interpreter startup,
-        # so CI can assert a real speedup floor on the smoke profile.
-        nodes, days = 60, 20.0
-    legs = {
-        variant: _spawn_vec_child(variant, nodes, days)
-        for variant in ("scalar", "vectorized")
-    }
-    captures: Dict[str, Dict[str, object]] = {
-        variant: leg["capture"] for variant, leg in legs.items()
-    }
-    mismatches = []
-    scalar_nodes = legs["scalar"]["node_metrics"]
-    vec_nodes = legs["vectorized"]["node_metrics"]
-    for node_id, scalar_metrics in scalar_nodes.items():
-        vec_vars = vec_nodes[node_id]
-        for key, value in scalar_metrics.items():
-            if value != vec_vars[key]:
-                mismatches.append(f"node {node_id} metrics.{key}")
-    for key in ("events_executed", "peak_queue_depth"):
-        if captures["scalar"][key] != captures["vectorized"][key]:
-            mismatches.append(f"manifest.{key}")
-    return {
-        "profile": "vec-compare-smoke" if smoke else "vec-compare",
-        "engine": "mesoscopic",
-        "policy": "H-50",
-        "seed": 42,
-        "nodes": nodes,
-        "days": days,
-        "scalar": captures["scalar"],
-        "vectorized": captures["vectorized"],
-        # The kernel layer's backend and per-kernel wall/call counters
-        # for the vectorized leg (the scalar reference does not call
-        # kernels, by design — it is the baseline being compared).
-        # Attribution comes from a separate profiled pass over
-        # ``kernel_profile_days`` so the timed leg pays no accounting
-        # overhead; shares are representative, absolute seconds are not.
-        "kernel_backend": legs["vectorized"]["kernels"]["backend"],
-        "kernel_profile_days": legs["vectorized"]["kernels"]["profile_days"],
-        "kernels": legs["vectorized"]["kernels"]["per_kernel"],
-        "speedup_wall": round(
-            float(captures["scalar"]["wall_s"])
-            / float(captures["vectorized"]["wall_s"]),
-            2,
-        ),
-        "bit_identical": not mismatches,
-        "mismatches": mismatches[:20],
-    }
 
 
 def _scale_config(nodes: int, gateways: int, days: float) -> SimulationConfig:
@@ -515,17 +348,6 @@ def main(argv: Optional[list] = None) -> int:
         help="multi-year incremental-degradation profile → BENCH_perf.json",
     )
     parser.add_argument(
-        "--vec-compare",
-        action="store_true",
-        help="scalar-vs-vectorized mesoscopic comparison → BENCH_vec.json",
-    )
-    parser.add_argument(
-        "--vec-child",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help=argparse.SUPPRESS,  # internal: one --vec-compare leg as JSON
-    )
-    parser.add_argument(
         "--scale-sweep",
         action="store_true",
         help="sharded memory-diet scaling curves → BENCH_scale.json",
@@ -552,13 +374,13 @@ def main(argv: Optional[list] = None) -> int:
         "--nodes",
         type=int,
         default=None,
-        help="node count (default: 200 long-horizon, 500 vec-compare)",
+        help="node count (default: 200 long-horizon)",
     )
     parser.add_argument(
         "--days",
         type=float,
         default=None,
-        help="simulated days (default: 730 long-horizon, 365 vec-compare)",
+        help="simulated days (default: 730 long-horizon)",
     )
     parser.add_argument(
         "--before",
@@ -574,18 +396,6 @@ def main(argv: Optional[list] = None) -> int:
         help=f"output JSON path (default {DEFAULT_OUT} / {PERF_OUT})",
     )
     args = parser.parse_args(argv)
-    if args.vec_child is not None:
-        print(
-            json.dumps(
-                run_vec_child(
-                    args.vec_child,
-                    nodes=args.nodes or 500,
-                    days=args.days or 365.0,
-                ),
-                sort_keys=True,
-            )
-        )
-        return 0
     if args.scale_child:
         print(
             json.dumps(
@@ -612,14 +422,7 @@ def main(argv: Optional[list] = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         print(f"[written to {out}]")
         return 0
-    if args.vec_compare:
-        out = args.out or VEC_OUT
-        report = run_veccompare(
-            nodes=args.nodes or 500,
-            days=args.days or 365.0,
-            smoke=args.smoke,
-        )
-    elif args.long_horizon:
+    if args.long_horizon:
         out = args.out or PERF_OUT
         before: Optional[Dict[str, object]] = None
         if args.before is not None:

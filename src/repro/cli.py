@@ -97,15 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TTL (days) before nodes decay a stale disseminated w_u",
     )
     simulate.add_argument(
-        "--no-vectorized",
-        action="store_false",
-        dest="vectorized",
-        help=(
-            "run the mesoscopic engine's scalar reference sweep instead "
-            "of the (bit-identical) vectorized fast path"
-        ),
-    )
-    simulate.add_argument(
         "--memory-profile",
         choices=("exact", "diet"),
         default="exact",
@@ -534,7 +525,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         w_u_ttl_s=None if ttl_days is None else ttl_days * SECONDS_PER_DAY,
         trace=getattr(args, "trace", False),
         trace_path=getattr(args, "trace_out", None),
-        vectorized=getattr(args, "vectorized", True),
         exact_batched=getattr(args, "exact_batched", True),
         trace_categories=(
             None

@@ -31,11 +31,9 @@ from ..exceptions import ConfigurationError, ProtocolError
 from .estimators import EwmaTxEnergyEstimator, RetransmissionEstimator
 from .utility import LinearUtility, UtilityFunction
 from .window_selection import (
-    BatchWindowDecision,
     MixedBatchWindowDecision,
     WindowDecision,
     WindowSelector,
-    score_windows_batch,
     score_windows_mixed,
 )
 
@@ -424,55 +422,6 @@ class BatteryLifespanAwareMac(MacPolicy):
         return f"H-{round(self.soc_cap * 100)}"
 
 
-def batch_choose_windows(
-    macs: Sequence[BatteryLifespanAwareMac],
-    battery_energies_j: np.ndarray,
-    green_matrix: np.ndarray,
-    nominal_tx_energies_j: Sequence[float],
-    now_s: float,
-) -> BatchWindowDecision:
-    """Run :meth:`BatteryLifespanAwareMac.choose_window` for many nodes.
-
-    The vectorized engine's adapter: row ``i`` of ``green_matrix``
-    (shape ``(N, |T|)``) is node ``i``'s forecast, and the estimator
-    side effects (EWMA re-seeding when the estimate is 0) happen exactly
-    as in the scalar call.  All MACs must share ``w_b``, the utility
-    function and ``E^tx_max`` (one simulation config guarantees this);
-    θ·capacity caps are gathered per node.  Decisions are bit-identical
-    to per-node :meth:`choose_window` calls.  Tracing is not emitted —
-    the vectorized engine only runs with tracing disabled.
-    """
-    if not macs:
-        raise ConfigurationError("at least one MAC is required")
-    green = np.asarray(green_matrix, dtype=np.float64)
-    if green.ndim != 2 or green.shape[0] != len(macs):
-        raise ConfigurationError("green_matrix must be (len(macs), windows)")
-    n, windows = green.shape
-    est = np.empty((n, windows))
-    weights = np.empty(n)
-    caps = np.empty(n)
-    for i, mac in enumerate(macs):
-        estimator = mac._energy_estimator
-        if estimator.estimate_j == 0.0:
-            estimator.reset(nominal_tx_energies_j[i])
-        est[i] = estimator.estimate_j * mac._retx_estimator.window_energy_multipliers(
-            windows
-        )
-        weights[i] = mac.effective_degradation(now_s)
-        caps[i] = mac._selector.soc_cap_j
-    selector = macs[0]._selector
-    return score_windows_batch(
-        battery_energies_j,
-        weights,
-        green,
-        est,
-        max_tx_energy_j=selector.max_tx_energy_j,
-        soc_cap_j=caps,
-        w_b=selector.w_b,
-        utility_fn=selector.utility_fn,
-    )
-
-
 def batch_choose_windows_mixed(
     macs: Sequence[BatteryLifespanAwareMac],
     battery_energies_j: np.ndarray,
@@ -481,19 +430,24 @@ def batch_choose_windows_mixed(
     counts: Sequence[int],
     now_s: Union[float, Sequence[float]],
 ) -> MixedBatchWindowDecision:
-    """:func:`batch_choose_windows` for rows with different ``|T|``.
+    """Run :meth:`BatteryLifespanAwareMac.choose_window` for many nodes.
 
-    ``green_matrix`` is padded to the widest count; ``counts[i]`` is
-    node ``i``'s real window count.  ``now_s`` is one period start for
-    every row or a sequence of one per row (rows decided ahead of
-    their own instant read ``w_u`` staleness at their own time).  Row
-    ``i``'s decision is bit-identical to the scalar
-    :meth:`~BatteryLifespanAwareMac.choose_window` with ``counts[i]``
-    windows — the per-window retransmission multipliers are pure
-    per-index statistics (a wider slice of the same cached array), and
-    :func:`score_windows_mixed` masks the pad columns infeasible.
-    Estimator side effects happen in batch order, as the scalar pop
-    order would.
+    Row ``i`` of ``green_matrix`` is node ``i``'s forecast, padded to
+    the widest count; ``counts[i]`` is node ``i``'s real window count.
+    ``now_s`` is one period start for every row or a sequence of one
+    per row (rows decided ahead of their own instant read ``w_u``
+    staleness at their own time).  All MACs must share ``w_b``, the
+    utility function and ``E^tx_max`` (one simulation config guarantees
+    this); θ·capacity caps are gathered per node.  Row ``i``'s decision
+    is bit-identical to :meth:`~BatteryLifespanAwareMac.choose_window`
+    with ``counts[i]`` windows — the per-window retransmission
+    multipliers are pure per-index statistics (a wider slice of the
+    same cached array), and :func:`score_windows_mixed` masks the pad
+    columns infeasible.  Estimator side effects (EWMA re-seeding when
+    the estimate is 0) happen in batch order, as one-at-a-time calls
+    would.  No ``window.selected`` event is emitted here: the result
+    carries each row's scores, DIFs, utilities and ``w_u``, and the
+    caller emits the event when it books the decision.
     """
     if not macs:
         raise ConfigurationError("at least one MAC is required")

@@ -74,18 +74,6 @@ EventBatchDispatch = Callable[[str, List[Tuple[object, ...]]], None]
 class EventQueue:
     """The simulation clock and pending-event heap."""
 
-    #: Class-level defaults so queues restored from pre-batching
-    #: checkpoints (whose pickled state lacks the attributes) still run.
-    #: Named-event kinds eligible for batched popping in
-    #: :meth:`run_until`: a maximal run of consecutive heap events
-    #: sharing ``(time_s, priority, kind)`` is popped in one go and
-    #: handed to :attr:`dispatch_batch` as a single call.  Because only
-    #: *consecutive* events are grouped, execution order is exactly the
-    #: heap order a one-at-a-time drain would produce.
-    batch_kinds: frozenset = frozenset()
-    #: Batch dispatcher (like :attr:`dispatch`, re-bound on resume).
-    dispatch_batch: Optional[EventBatchDispatch] = None
-
     def __init__(self) -> None:
         self._heap: List[_ScheduledEvent] = []
         self._next_sequence = 0
@@ -95,8 +83,15 @@ class EventQueue:
         #: Named-event dispatcher; the owning engine assigns this (it is
         #: excluded from pickling and re-bound on resume).
         self.dispatch: Optional[EventDispatch] = None
-        self.dispatch_batch = None
-        self.batch_kinds = frozenset()
+        #: Batch dispatcher (like :attr:`dispatch`, re-bound on resume).
+        self.dispatch_batch: Optional[EventBatchDispatch] = None
+        #: Named-event kinds eligible for batched popping in
+        #: :meth:`run_until`: a maximal run of consecutive heap events
+        #: sharing ``(time_s, priority, kind)`` is popped in one go and
+        #: handed to :attr:`dispatch_batch` as a single call.  Because
+        #: only *consecutive* events are grouped, execution order is
+        #: exactly the heap order a one-at-a-time drain would produce.
+        self.batch_kinds: frozenset = frozenset()
 
     @property
     def now_s(self) -> float:

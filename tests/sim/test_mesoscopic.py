@@ -8,6 +8,7 @@ from repro.constants import SECONDS_PER_DAY
 from repro.sim import (
     MesoscopicSimulator,
     SimulationConfig,
+    mesoscopic_vec,
     resolve_window,
     run_mesoscopic,
 )
@@ -195,44 +196,59 @@ class TestPolicyComparisons:
 
 
 class TestSettleTo:
-    """Edge cases of the chunked energy settle used by both sweep paths."""
+    """Edge cases of the sweep's chunked energy settle (``_settle_items``)."""
 
-    @staticmethod
-    def make_node(**overrides):
-        config = meso_config(**overrides)
-        return make_entries(config, 1)[0].node
+    class Settler:
+        """One fresh node and the settle entry point the sweep uses."""
+
+        def __init__(self, **overrides):
+            sim = MesoscopicSimulator(meso_config(node_count=1, **overrides))
+            self.node = next(iter(sim.nodes.values()))
+            self.harvest = mesoscopic_vec._Harvest(sim)
+
+        def settle_to(self, now_s, extra_demand_j=0.0):
+            (shortfall,), _ = mesoscopic_vec._settle_items(
+                [(self.node, now_s, extra_demand_j)],
+                self.harvest,
+                self.node.config.settle_chunk_s(),
+            )
+            return shortfall
 
     def test_zero_duration_is_noop(self):
-        node = self.make_node()
-        node.settle_to(3600.0)
+        settler = self.Settler()
+        node = settler.node
+        settler.settle_to(3600.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(3600.0)
+        shortfall = settler.settle_to(3600.0)
         assert shortfall == 0.0
         assert node.settled_until_s == 3600.0
         assert node.battery.stored_j == stored
 
     def test_past_frontier_clamps(self):
-        node = self.make_node()
-        node.settle_to(7200.0)
+        settler = self.Settler()
+        node = settler.node
+        settler.settle_to(7200.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(100.0)
+        shortfall = settler.settle_to(100.0)
         assert shortfall == 0.0
         assert node.settled_until_s == 7200.0
         assert node.battery.stored_j == stored
 
     def test_same_instant_extra_demand_applies_directly(self):
-        node = self.make_node()
-        node.settle_to(3600.0)
+        settler = self.Settler()
+        node = settler.node
+        settler.settle_to(3600.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(3600.0, extra_demand_j=0.5)
+        shortfall = settler.settle_to(3600.0, extra_demand_j=0.5)
         assert shortfall == 0.0
         assert node.battery.stored_j == pytest.approx(stored - 0.5)
         assert node.settled_until_s == 3600.0
 
     def test_same_instant_demand_beyond_charge_reports_shortfall(self):
-        node = self.make_node(initial_soc=0.01)
+        settler = self.Settler(initial_soc=0.01)
+        node = settler.node
         stored = node.battery.stored_j
-        shortfall = node.settle_to(0.0, extra_demand_j=stored + 2.0)
+        shortfall = settler.settle_to(0.0, extra_demand_j=stored + 2.0)
         assert shortfall == pytest.approx(2.0)
         assert node.battery.stored_j == 0.0
 
@@ -240,19 +256,20 @@ class TestSettleTo:
         # Two nodes settle over the same span; one pays extra demand.
         # The difference must be exactly the extra joules (the switch
         # sees identical harvests, so green-energy accounting matches).
-        plain = self.make_node()
-        loaded = self.make_node()
-        span = plain.config.window_s * 12.0  # several 5-window chunks
+        plain = self.Settler()
+        loaded = self.Settler()
+        span = plain.node.config.window_s * 12.0  # several 5-window chunks
         plain.settle_to(span)
         loaded.settle_to(span, extra_demand_j=0.25)
-        assert loaded.battery.stored_j == pytest.approx(
-            plain.battery.stored_j - 0.25
+        assert loaded.node.battery.stored_j == pytest.approx(
+            plain.node.battery.stored_j - 0.25
         )
 
     def test_frontier_advances_monotonically(self):
-        node = self.make_node()
+        settler = self.Settler()
+        node = settler.node
         for now in (600.0, 1800.0, 1200.0, 5400.0):
-            node.settle_to(now)
+            settler.settle_to(now)
             assert node.settled_until_s >= now
         assert node.settled_until_s == 5400.0
 
