@@ -1,11 +1,16 @@
-"""Golden digests of the mesoscopic sweep's outputs.
+"""Golden digests of both engines' outputs.
 
-Every scenario below is pinned by sha256 digests of its per-node
-metrics, packet log, monthly series, linear rates and (where traced)
-its JSONL trace with wall-clock fields masked, plus its heap counters.
-The digests live in ``golden_digests.json`` next to this module; the
-tests compare fresh runs against them, so any change to what the sweep
-computes or emits shows up as a digest mismatch.
+Every mesoscopic scenario below is pinned by sha256 digests of its
+per-node metrics, packet log, monthly series, linear rates and (where
+traced) its JSONL trace with wall-clock fields masked, plus its heap
+counters.  Every exact-engine scenario (``EXACT_CONFIGS``) is pinned by
+its per-node metrics, network counters, packet log, masked trace and
+heap counters; it runs traced and untraced, with packets on the
+one-at-a-time drain and without packets on both drains, and all of
+those runs must agree.  The digests live in ``golden_digests.json``
+next to this module; the tests compare fresh runs against them, so any
+change to what an engine computes or emits shows up as a digest
+mismatch.
 
 Regenerate (only when a change of results is intended)::
 
@@ -25,9 +30,17 @@ from collections import Counter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.checkpoint.equivalence import VOLATILE_TRACE_FIELDS
+from repro.checkpoint import resume
 from repro.constants import SECONDS_PER_DAY
+from repro.experiments.scenarios import fault_sweep, large_scale_base, testbed_base
 from repro.faults import FaultPlan
-from repro.sim import MesoscopicSimulator, SimulationConfig, mesoscopic_vec, run_mesoscopic
+from repro.sim import (
+    MesoscopicSimulator,
+    SimulationConfig,
+    mesoscopic_vec,
+    run_mesoscopic,
+    run_simulation,
+)
 from repro.sim.mesoscopic import WindowEntry
 from repro.sim.sharded import run_sharded
 
@@ -45,15 +58,15 @@ def trace_digest(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             event = json.loads(line)
+            fields = event.get("fields", {})
             for key in VOLATILE_TRACE_FIELDS:
-                event["fields"].pop(key, None)
+                fields.pop(key, None)
             lines.append(event)
     return _sha(lines)
 
 
-def result_digests(result, trace_path: Optional[str] = None) -> Dict[str, object]:
-    """The pinned outputs of one run (``trace`` only when traced)."""
-    nodes = [
+def _node_metrics(result) -> list:
+    return [
         [
             node_id,
             {
@@ -63,19 +76,49 @@ def result_digests(result, trace_path: Optional[str] = None) -> Dict[str, object
         ]
         for node_id, metrics in sorted(result.metrics.nodes.items())
     ]
+
+
+def _packets(result) -> Optional[list]:
     log = result.packet_log
-    packets = None
-    if log is not None:
-        packets = [
-            [dataclasses.astuple(record) for record in log],
-            [log.generated, log.delivered, log.attempts, log.energy_drops],
-        ]
+    if log is None:
+        return None
+    return [
+        [dataclasses.astuple(record) for record in log],
+        [log.generated, log.delivered, log.attempts, log.energy_drops],
+    ]
+
+
+def _heap(result) -> list:
+    return [result.manifest.events_executed, result.manifest.peak_queue_depth]
+
+
+def result_digests(result, trace_path: Optional[str] = None) -> Dict[str, object]:
+    """The pinned outputs of one run (``trace`` only when traced)."""
     digests = {
-        "metrics": _sha(nodes),
-        "packets": _sha(packets),
+        "metrics": _sha(_node_metrics(result)),
+        "packets": _sha(_packets(result)),
         "monthly": _sha([vars(sample) for sample in result.monthly]),
         "rates": _sha(sorted(result.linear_rates.items())),
-        "heap": [result.manifest.events_executed, result.manifest.peak_queue_depth],
+        "heap": _heap(result),
+    }
+    if trace_path is not None:
+        digests["trace"] = trace_digest(trace_path)
+    return digests
+
+
+def exact_digests(result, trace_path: Optional[str] = None) -> Dict[str, object]:
+    """The pinned outputs of one exact-engine run (``trace`` when traced)."""
+    faults = result.fault_counters
+    network = [
+        result.uplinks_received,
+        result.disseminations_sent,
+        None if faults is None else sorted(faults.as_dict().items()),
+    ]
+    digests = {
+        "metrics": _sha(_node_metrics(result)),
+        "network": _sha(network),
+        "packets": _sha(_packets(result)),
+        "heap": _heap(result),
     }
     if trace_path is not None:
         digests["trace"] = trace_digest(trace_path)
@@ -186,12 +229,130 @@ def run_traced(config: SimulationConfig, directory: str, name: str = "trace"):
     return result, path
 
 
+# ------------------------------------------------------- exact engine
+
+
+def exact_faults_config(**overrides) -> SimulationConfig:
+    """The ``fault_sweep`` canonical point (20 % ACK loss, an outage, a
+    reboot, a 3-day ``w_u`` TTL) on a small paper-style deployment,
+    past its first degradation refresh."""
+    base = large_scale_base(seed=1).replace(
+        node_count=16,
+        duration_s=1.2 * SECONDS_PER_DAY,
+        forecaster="oracle",
+        shading_sigma=0.2,
+        record_packets=True,
+    )
+    return fault_sweep(base)["canonical"].replace(**overrides)
+
+
+def exact_cohort_config(**overrides) -> SimulationConfig:
+    """Equal periods from a synchronized boot: every period is one
+    whole-network same-instant cohort.  Past the first day's refresh
+    the nodes hold nonzero ``w_u``, so forecasts steer the windows."""
+    defaults = dict(
+        node_count=8,
+        duration_s=1.6 * SECONDS_PER_DAY,
+        period_range_s=(1200.0, 1200.0),
+        radius_m=2000.0,
+        seed=5,
+        record_packets=True,
+    )
+    defaults.update(overrides)
+    return SimulationConfig(**defaults).as_h(0.5)
+
+
+def exact_testbed_config() -> SimulationConfig:
+    """The Section IV-B testbed: 10 jittered nodes for 24 hours."""
+    return testbed_base(seed=7).replace(record_packets=True).as_h(0.5)
+
+
+#: Exact-engine scenarios: name -> config.
+EXACT_CONFIGS: Dict[str, Callable[[], SimulationConfig]] = {
+    "exact-faults": exact_faults_config,
+    "exact-testbed": exact_testbed_config,
+    "exact-cohort": exact_cohort_config,
+    "exact-noisy": lambda: exact_cohort_config(forecaster="noisy", forecast_sigma=0.2),
+    "exact-persistence": lambda: exact_cohort_config(forecaster="persistence", seed=9),
+    "exact-corrupted": lambda: exact_cohort_config(
+        faults=FaultPlan(forecast_corruption_sigma=0.3, seed=3)
+    ),
+    # A nearly empty battery at night: settle brown-outs, infeasible
+    # windows and attempt brown-outs.
+    "exact-brownouts": lambda: exact_cohort_config(initial_soc=0.01).as_h(1.0),
+    "exact-brownouts-reboot": lambda: exact_cohort_config(
+        initial_soc=0.01, faults=FaultPlan(reboot_on_brownout=True, seed=3)
+    ).as_h(1.0),
+}
+
+#: Exact scenarios that write cadence checkpoints: name -> cadence (s).
+EXACT_CHECKPOINT_EVERY_S = {"exact-faults": 3 * 3600.0}
+
+
+def run_exact(config: SimulationConfig, directory: str, every_s, name=None):
+    """Run ``config`` on the exact engine (traced into ``directory`` as
+    ``name``.jsonl when a name is given); returns (result, trace path,
+    checkpoint directory)."""
+    config = with_checkpoints(config, directory, every_s)
+    path = None
+    if name is not None:
+        path = os.path.join(directory, f"{name}.jsonl")
+        config = config.replace(trace=True, trace_path=path)
+    return run_simulation(config), path, config.checkpoint_dir
+
+
+def _without_packets(digests: Dict[str, object]) -> Dict[str, object]:
+    return {k: v for k, v in digests.items() if k not in ("packets", "trace")}
+
+
+def run_exact_scenario(name: str, directory: str) -> Tuple[object, Optional[str]]:
+    """Run exact scenario ``name`` every way it can run; all must agree.
+
+    The traced run and the untraced run with packets take the
+    one-at-a-time drain; without packets the run takes the batched
+    drain, or the one-at-a-time drain with ``exact_batched=False``.
+    ``exact-faults-resumed`` resumes each checkpointed variant from its
+    newest snapshot.  Returns the traced run's (result, trace path).
+    """
+    resumed = name.endswith("-resumed")
+    base = name[: -len("-resumed")] if resumed else name
+    config = EXACT_CONFIGS[base]()
+    every_s = EXACT_CHECKPOINT_EVERY_S.get(base)
+
+    def run(config, traced=False):
+        result, path, ckdir = run_exact(
+            config, directory, every_s, name if traced else None
+        )
+        if resumed:
+            newest = sorted(os.listdir(ckdir))[-1]
+            sim, _ = resume(os.path.join(ckdir, newest))
+            result = sim.run()
+        return result, path
+
+    traced, path = run(config, traced=True)
+    expected = exact_digests(traced)
+    untraced, _ = run(config)
+    assert exact_digests(untraced) == expected, name
+    for batched in (True, False):
+        variant = config.replace(record_packets=False, exact_batched=batched)
+        result, _ = run(variant)
+        assert _without_packets(exact_digests(result)) == _without_packets(
+            expected
+        ), (name, batched)
+    return traced, path
+
+
+EXACT_SCENARIOS = (*EXACT_CONFIGS, "exact-faults-resumed")
+
+
 def run_scenario(name: str, directory: str) -> Tuple[object, Optional[str]]:
     """Run golden scenario ``name``; returns (result, trace path | None).
 
     Traced scenarios also run untraced, and the two must agree on every
     pinned output.
     """
+    if name in EXACT_SCENARIOS:
+        return run_exact_scenario(name, directory)
     if name == "sharded":
         # Sharded runs refuse tracing; their results are pinned untraced.
         from tests.sim.test_sharded import sharded_config
@@ -262,7 +423,7 @@ class _SimView:
         )(sim._events_executed, sim._peak_heap)
 
 
-SCENARIOS = (*CONFIGS, "sharded", "duplicate-window")
+SCENARIOS = (*CONFIGS, "sharded", "duplicate-window", *EXACT_SCENARIOS)
 
 
 def load() -> Dict[str, Dict[str, object]]:
@@ -273,7 +434,8 @@ def load() -> Dict[str, Dict[str, object]]:
 def assert_golden(name: str, result, trace_path: Optional[str] = None) -> None:
     """Assert ``result`` (and its trace) reproduce the pinned digests."""
     expected = load()[name]
-    got = result_digests(result, trace_path)
+    digest = exact_digests if name in EXACT_SCENARIOS else result_digests
+    got = digest(result, trace_path)
     assert got == expected, f"{name}: digests {got} != golden {expected}"
 
 
@@ -282,7 +444,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as directory:
         for name in SCENARIOS:
             result, path = run_scenario(name, directory)
-            digests[name] = result_digests(result, path)
+            digest = exact_digests if name in EXACT_SCENARIOS else result_digests
+            digests[name] = digest(result, path)
             print(name, file=sys.stderr)
     with open(GOLDEN_FILE, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=2, sort_keys=True)
