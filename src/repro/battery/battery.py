@@ -186,6 +186,28 @@ class Battery:
         """Advance time with no energy flow (records trace duration)."""
         self._advance(now_s)
 
+    def commit_samples(self, times_s, socs, stored_j: float) -> None:
+        """Record a run of operations computed outside the battery.
+
+        ``socs[i]`` is ``stored / capacity`` after the operation ending
+        at ``times_s[i]``.  The trace and the rainflow stream take the
+        run in one batch each, state-identical to one :meth:`_advance`
+        per sample; then the stored energy becomes ``stored_j`` and the
+        clock moves to the run's end.  An empty run changes nothing.
+        """
+        if not len(times_s):
+            return
+        if times_s[0] < self._now_s:
+            raise ConfigurationError("battery time cannot move backwards")
+        self.trace.extend_batch(times_s, socs)
+        if self._incremental is not None:
+            # Same clamp SocTrace applies before storing.
+            if max(socs) > 1.0:
+                socs = [min(soc, 1.0) for soc in socs]
+            self._incremental.push_batch(socs)
+        self.stored_j = stored_j
+        self._now_s = times_s[-1]
+
     def _advance(self, now_s: float) -> None:
         if now_s < self._now_s:
             raise ConfigurationError("battery time cannot move backwards")

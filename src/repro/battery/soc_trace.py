@@ -151,29 +151,30 @@ class SocTrace:
         n = len(socs)
         if n == 0:
             return
-        times = [float(t) for t in times_s]
-        clamped = []
-        for s in socs:
+        # One pass validates, clamps and integrates; nothing is stored
+        # until every sample has passed.
+        times: List[float] = []
+        clamped: List[float] = []
+        integral = self._weighted_integral
+        prev_t, prev_s = self._last_time, self._last_soc
+        for t, s in zip(times_s, socs):
+            t = float(t)
             s = float(s)
             if not 0.0 <= s <= 1.0 + 1e-9:
                 raise ConfigurationError(f"SoC {s} outside [0, 1]")
-            clamped.append(min(s, 1.0))
+            if s > 1.0:
+                s = 1.0
+            if prev_t is not None:
+                if t < prev_t:
+                    raise ConfigurationError("trace times must be non-decreasing")
+                # The first-ever sample contributes no trapezoid.
+                integral += (t - prev_t) * (s + prev_s) / 2.0
+            prev_t, prev_s = t, s
+            times.append(t)
+            clamped.append(s)
         socs = clamped
-        last_t = self._last_time
-        if last_t is not None and times[0] < last_t:
-            raise ConfigurationError("trace times must be non-decreasing")
-        if any(times[i + 1] < times[i] for i in range(n - 1)):
-            raise ConfigurationError("trace times must be non-decreasing")
-
         if self._start_time is None:
             self._start_time = times[0]
-        integral = self._weighted_integral
-        prev_t, prev_s = last_t, self._last_soc
-        for i in range(n):
-            if prev_t is not None:
-                # The first-ever sample contributes no trapezoid.
-                integral += (times[i] - prev_t) * (socs[i] + prev_s) / 2.0
-            prev_t, prev_s = times[i], socs[i]
         self._weighted_integral = integral
 
         ts, ss = self.times, self.socs

@@ -599,6 +599,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # The mesoscopic runner has no event boundaries to inject at.
         notices.append("fault plan supplied: switching to the exact engine")
         engine = "exact"
+    if engine == "exact" and config.memory_profile == "diet":
+        reason = " (a --faults spec selects it)" if config.faults is not None else ""
+        print(
+            f"--memory-profile diet needs the meso engine; the exact "
+            f"engine{reason} keeps full per-node state",
+            file=sys.stderr,
+        )
+        return 2
     if engine == "exact" and config.shards is not None:
         # The exact engine is a single event loop; sharding is a
         # mesoscopic decomposition.  Results are unaffected either way.
@@ -938,6 +946,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points = grid_from_spec(spec)
     except (ConfigurationError, KeyError, ValueError) as exc:
         print(f"bad sweep grid: {exc}", file=sys.stderr)
+        return 2
+    if engine == "exact" and any(p.config.memory_profile == "diet" for p in points):
+        print(
+            "--memory-profile diet needs the meso engine; the exact engine "
+            "keeps full per-node state",
+            file=sys.stderr,
+        )
         return 2
     every_days = args.checkpoint_every
     if args.checkpoint_dir is not None and every_days is None:

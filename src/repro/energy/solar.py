@@ -223,12 +223,29 @@ class SolarModel:
     WINDOW_CACHE_LIMIT = 4096
     DAILY_CACHE_LIMIT = 16384
 
+    #: Memo tables of pure functions: never pickled, rebuilt empty.
+    _CACHES = ("_power_cache", "_window_cache", "_daily_cache")
+
     def __post_init__(self) -> None:
         if self.peak_watts <= 0:
             raise ConfigurationError("peak_watts must be positive")
         self._power_cache: dict = {}
         self._window_cache: dict = {}
         self._daily_cache: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Snapshots carry no memo table: each holds only pure-function
+        # values and refills on demand.
+        state = self.__dict__.copy()
+        for name in self._CACHES:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Also empties the tables older snapshots still carry.
+        for name in self._CACHES:
+            setattr(self, name, {})
 
     @classmethod
     def scaled_for_transmissions(

@@ -13,15 +13,23 @@ energy balance of Eq. (5):
 
 with the on-sensor simplification (Eq. 21) fixing ``y_u[t]`` to "charge
 up to θ, spill the rest".
+
+A node settles many window-sized chunks at once, so
+:meth:`SoftwareDefinedSwitch.apply_chunks` is the one copy of that
+arithmetic: a single pass over the chunks, samples recorded in batch.
+:meth:`~SoftwareDefinedSwitch.apply_window` is its one-chunk case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..battery import Battery
 from ..exceptions import ConfigurationError
+
+#: Unmet demand above this is a brown-out (float dust below it is not).
+BROWNOUT_J = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,17 +50,30 @@ class WindowEnergyResult:
     @property
     def balanced(self) -> bool:
         """Whether the full demand was met this window."""
-        return self.shortfall_j <= 1e-12
+        return self.shortfall_j <= BROWNOUT_J
+
+
+class SettleResult(NamedTuple):
+    """What one :meth:`SoftwareDefinedSwitch.apply_chunks` pass did."""
+
+    #: Energy flows summed over the chunks (for one chunk: its own).
+    totals: WindowEnergyResult
+    #: Index of the last chunk whose surplus the battery accepted, -1
+    #: when none did (an accepted charge may be below one ulp of the
+    #: stored energy, so this is not read off the stored energy).
+    last_charged: int
+    #: ``(chunk index, unmet joules)`` of every chunk that browned out.
+    shortfalls: List[Tuple[int, float]]
 
 
 class SoftwareDefinedSwitch:
-    """Applies one forecast window's energy flows to a battery.
+    """Applies forecast windows' energy flows to a battery.
 
     The switch is deliberately stateless: all state lives in the
     :class:`~repro.battery.Battery` so the SoC trace (and therefore the
-    degradation computation) sees exactly one update per window, matching
-    the paper's discrete-time model where "the discrete trace is
-    generated after each time slot".
+    degradation computation) sees exactly one update per window or
+    settle chunk, matching the paper's discrete-time model where "the
+    discrete trace is generated after each time slot".
     """
 
     def __init__(
@@ -94,53 +115,98 @@ class SoftwareDefinedSwitch:
         to θ; deficit is drawn from the battery.  If the battery cannot
         cover the deficit, the remainder is reported as ``shortfall_j``
         (the node browns out — in the MAC this surfaces as a dropped
-        packet, the FAIL branch of Algorithm 1).
+        packet, the FAIL branch of Algorithm 1).  The one-chunk case of
+        :meth:`apply_chunks`.
         """
-        if harvested_j < 0 or demand_j < 0:
+        return self.apply_chunks(
+            battery, (harvested_j,), (demand_j,), (window_end_s,)
+        ).totals
+
+    def apply_chunks(
+        self,
+        battery: Battery,
+        harvested_j: Sequence[float],
+        demands_j: Sequence[float],
+        ends_s: Sequence[float],
+    ) -> SettleResult:
+        """Settle consecutive chunks' energy balances in one pass.
+
+        Chunk ``i`` ends at ``ends_s[i]`` and is balanced exactly as a
+        lone window would be: the float operations and their order are
+        those of ``Battery.charge``/``discharge``/``settle``, with the
+        charge limit ``min(ψ_max, θ·capacity)`` hoisted (degradation
+        does not move within a settle).  The SoC samples reach the trace
+        and the rainflow stream through their batch APIs, state-identical
+        to one append per chunk.  Brown-outs then publish their
+        ``energy.brownout`` events and fire ``on_brownout`` in chunk
+        order, with the values a chunk-by-chunk settle reports.
+        """
+        count = len(ends_s)
+        if count and (min(harvested_j) < 0 or min(demands_j) < 0):
             raise ConfigurationError("energies cannot be negative")
-
-        green_used = min(harvested_j, demand_j)
-        surplus = harvested_j - green_used
-        deficit = demand_j - green_used
-
-        charged = 0.0
-        spilled = 0.0
-        battery_used = 0.0
-        shortfall = 0.0
-
-        if surplus > 0.0:
-            charged = battery.charge(surplus, window_end_s, soc_cap=self._soc_cap)
-            spilled = surplus - charged
-        elif deficit > 0.0:
-            battery_used = min(deficit, battery.stored_j)
-            shortfall = deficit - battery_used
-            battery.discharge(battery_used, window_end_s)
-        else:
-            battery.settle(window_end_s)
-
-        if shortfall > 1e-12:
+        capacity = battery.capacity_j
+        limit = min(battery.current_max_capacity_j, self._soc_cap * capacity)
+        stored = battery.stored_j
+        green_sum = used_sum = charged_sum = spilled_sum = short_sum = 0.0
+        last_charged = -1
+        shortfalls: List[Tuple[int, float]] = []
+        short_socs: List[float] = []
+        socs: List[float] = []
+        append = socs.append
+        for i in range(count):
+            harvested = harvested_j[i]
+            demand = demands_j[i]
+            # min/max spelled as conditionals (same values, fewer calls).
+            green = harvested if harvested <= demand else demand
+            green_sum += green
+            surplus = harvested - green
+            deficit = demand - green
+            if surplus > 0.0:
+                room = limit - stored
+                accepted = surplus if surplus <= room else room
+                if accepted > 0.0:
+                    stored += accepted
+                    last_charged = i
+                else:
+                    accepted = 0.0
+                charged_sum += accepted
+                spilled_sum += surplus - accepted
+            elif deficit > 0.0:
+                used = deficit if deficit <= stored else stored
+                unmet = deficit - used
+                stored -= used
+                if stored < 0.0:
+                    stored = 0.0
+                used_sum += used
+                short_sum += unmet
+                if unmet > BROWNOUT_J:
+                    shortfalls.append((i, unmet))
+                    short_socs.append(stored / capacity)
+            append(stored / capacity)
+        battery.commit_samples(ends_s, socs, stored)
+        for (i, unmet), soc in zip(shortfalls, short_socs):
             if self._trace is not None:
                 self._trace.emit(
-                    window_end_s,
+                    ends_s[i],
                     "energy",
                     "energy.brownout",
                     severity="warning",
                     node_id=self._trace_node,
-                    shortfall_j=shortfall,
-                    demand_j=demand_j,
-                    harvested_j=harvested_j,
-                    soc=battery.soc,
+                    shortfall_j=unmet,
+                    demand_j=demands_j[i],
+                    harvested_j=harvested_j[i],
+                    soc=soc,
                 )
             if self._on_brownout is not None:
-                self._on_brownout(shortfall)
-
-        return WindowEnergyResult(
-            green_used_j=green_used,
-            battery_used_j=battery_used,
-            charged_j=charged,
-            spilled_j=spilled,
-            shortfall_j=shortfall,
+                self._on_brownout(unmet)
+        totals = WindowEnergyResult(
+            green_used_j=green_sum,
+            battery_used_j=used_sum,
+            charged_j=charged_sum,
+            spilled_j=spilled_sum,
+            shortfall_j=short_sum,
         )
+        return SettleResult(totals, last_charged, shortfalls)
 
     def can_sustain(
         self, battery: Battery, harvested_j: float, demand_j: float

@@ -4,7 +4,8 @@ One settle applies a sequence of chunk energy balances to a battery:
 per chunk, harvested green energy covers demand first, surplus charges
 up to the θ-capped limit, deficit discharges, and the resulting SoC
 feeds the trace integral.  The float operations and their order
-reproduce ``SoftwareDefinedSwitch.apply_window`` +
+reproduce ``SoftwareDefinedSwitch.apply_chunks`` (the exact engine's
+settle pass, whose one-chunk case is ``apply_window``) and therefore
 ``Battery.charge``/``discharge``/``settle`` bit for bit — which is why
 the recurrence is a kernel with a fixed operation order rather than a
 vectorized expression (each chunk's ops depend on the previous chunk's
@@ -30,7 +31,7 @@ from . import BACKEND
 _PROF = hot_profiler()
 
 #: A chunk whose unmet demand exceeds this is a brown-out (the
-#: threshold ``SoftwareDefinedSwitch.apply_window`` reports at).
+#: switch's ``repro.energy.switch.BROWNOUT_J``).
 BROWNOUT_J = 1e-12
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..battery import Battery, TransitionReport
 from ..core import (
@@ -161,35 +161,63 @@ class EndDevice:
 
     # --------------------------------------------------------------- energy
 
-    def settle_to(self, now_s: float) -> None:
+    def settle_chunks(
+        self, now_s: float
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """Starts, ends and durations of the chunks settling to ``now_s``.
+
+        Chunks are forecast-window sized from the settled point on; a
+        partial final chunk ends exactly at ``now_s``.  Each chunk's
+        harvest is its power at ``start + duration / 2`` times its
+        duration.
+        """
+        starts: List[float] = []
+        ends: List[float] = []
+        window_s = self.window_s
+        stop = now_s - 1e-9
+        cursor = self._settled_until_s
+        while cursor < stop:
+            chunk_end = cursor + window_s
+            if not chunk_end < now_s:
+                chunk_end = now_s
+            starts.append(cursor)
+            ends.append(chunk_end)
+            cursor = chunk_end
+        return starts, ends, [end - start for start, end in zip(starts, ends)]
+
+    def settle_to(
+        self, now_s: float, powers: Optional[Sequence[float]] = None
+    ) -> None:
         """Apply harvested energy and sleep demand up to ``now_s``.
 
-        Settlement proceeds in forecast-window-sized chunks (a partial
-        final chunk ends exactly at ``now_s``) through the
-        software-defined switch, so the SoC trace gains at most one point
-        per window — the paper's discrete-time trace granularity.
+        The :meth:`settle_chunks` chunks go through the software-defined
+        switch in one :meth:`~repro.energy.SoftwareDefinedSwitch.apply_chunks`
+        pass, so the SoC trace gains at most one point per window — the
+        paper's discrete-time trace granularity.  ``powers`` are the
+        harvester's powers at the chunk midpoints when the caller has
+        evaluated them already (the batched exact engine does, once per
+        period cohort); otherwise the scalar harvester supplies them.
         """
         if now_s < self._settled_until_s:
             raise InvariantError("cannot settle backwards in time")
+        starts, ends, durations = self.settle_chunks(now_s)
+        if powers is None:
+            power = self.harvester.power_watts
+            powers = [
+                power(start + duration / 2.0)
+                for start, duration in zip(starts, durations)
+            ]
         sleep_watts = self.energy_model.power_profile.sleep_watts
-        cursor = self._settled_until_s
-        while cursor < now_s - 1e-9:
-            chunk_end = min(now_s, cursor + self.window_s)
-            duration = chunk_end - cursor
-            harvested = self.harvester.power_watts(
-                cursor + duration / 2.0
-            ) * duration
-            result = self.switch.apply_window(
-                self.battery,
-                harvested_j=harvested,
-                demand_j=sleep_watts * duration,
-                window_end_s=chunk_end,
-            )
-            if result.charged_j > 0 and self.packet is not None:
-                window = int((cursor - self.packet.period_start_s) // self.window_s)
-                if window >= 0:
-                    self.packet.last_recharge_window = min(window, 0xFE)
-            cursor = chunk_end
+        last = self.switch.apply_chunks(
+            self.battery,
+            [p * duration for p, duration in zip(powers, durations)],
+            [sleep_watts * duration for duration in durations],
+            ends,
+        ).last_charged
+        if last >= 0 and self.packet is not None:
+            window = int((starts[last] - self.packet.period_start_s) // self.window_s)
+            if window >= 0:
+                self.packet.last_recharge_window = min(window, 0xFE)
         self._settled_until_s = now_s
 
     def draw_attempt_energy(self, now_s: float) -> bool:
@@ -226,16 +254,25 @@ class EndDevice:
         decision = self.mac.choose_window(context)
         return self.finish_period_decision(now_s, decision)
 
-    def begin_period(self, now_s: float):
+    def begin_period(
+        self,
+        now_s: float,
+        powers: Optional[Sequence[float]] = None,
+        forecast: Optional[List[float]] = None,
+    ):
         """Settle, count the generated packet, and forecast this period.
 
         First half of :meth:`start_period`; the batched exact engine
         runs it for every same-instant node before computing the window
-        decisions in one vector pass.  Returns the green-energy forecast
-        the MAC decision needs.
+        decisions in one vector pass, passing the settle ``powers`` and
+        (for an oracle forecaster) the ``forecast`` from its cohort-wide
+        harvest evaluation.  Returns the green-energy forecast the MAC
+        decision needs.
         """
-        self.settle_to(now_s)
+        self.settle_to(now_s, powers)
         self.metrics.record_generated()
+        if forecast is not None:
+            return forecast
         return self.forecaster.forecast(
             now_s, self.window_s, self.windows_per_period
         )

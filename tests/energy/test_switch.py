@@ -1,6 +1,8 @@
 """Tests for the software-defined battery switch (Eq. 5 / Eq. 21)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.battery import Battery
 from repro.energy import SoftwareDefinedSwitch
@@ -97,3 +99,187 @@ class TestSwitch:
             switch.apply_window(battery, 0.0, 0.3, (i + 1) * 60.0)
         assert top > 0.5
         assert battery.soc < top
+
+
+# ------------------------------------------------- the fused settle pass
+
+
+class _Recorder:
+    """Trace-bus stand-in recording every emission."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, *args, **fields):
+        self.events.append((args, fields))
+
+
+def _reference_window(switch, battery, harvested, demand, end):
+    """One window through ``Battery.charge``/``discharge``/``settle``:
+    the chunk-by-chunk accounting the fused pass must reproduce."""
+    green = min(harvested, demand)
+    surplus = harvested - green
+    deficit = demand - green
+    charged = shortfall = 0.0
+    if surplus > 0.0:
+        charged = battery.charge(surplus, end, soc_cap=switch.soc_cap)
+    elif deficit > 0.0:
+        used = min(deficit, battery.stored_j)
+        shortfall = deficit - used
+        battery.discharge(used, end)
+    else:
+        battery.settle(end)
+    return charged, shortfall
+
+
+def _rig(capacity, soc, theta, degradation):
+    battery = Battery(capacity_j=capacity, initial_soc=soc)
+    if degradation:
+        # What a refresh leaves behind: a smaller ψ_max, stored clipped.
+        battery._degradation = degradation
+        battery.stored_j = min(battery.stored_j, battery.current_max_capacity_j)
+    calls = []
+    switch = SoftwareDefinedSwitch(soc_cap=theta, on_brownout=calls.append)
+    bus = _Recorder()
+    switch.bind_trace(bus, node_id=4)
+    return battery, switch, calls, bus
+
+
+def _state(battery):
+    stream = battery._incremental._stream
+    inc = battery._incremental
+    trace = battery.trace
+    return (
+        battery.stored_j,
+        battery.now_s,
+        trace.times,
+        trace.socs,
+        trace._weighted_integral,
+        trace._last_time,
+        trace._last_soc,
+        stream._stack,
+        stream._prev,
+        stream._tail,
+        stream._have_prev,
+        inc._closed_count,
+        inc._weight_sum,
+        inc._depth_sum,
+        inc._soc_sum,
+        inc._aging_sum,
+    )
+
+
+_energy = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-18, max_value=1e-13),  # sub-ulp / float dust
+    st.floats(min_value=0.0, max_value=3.0),
+)
+
+
+class TestFusedSettle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.floats(min_value=0.5, max_value=50.0),
+        soc=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.sampled_from([0.05, 0.5, 0.8, 1.0]),
+        degradation=st.sampled_from([0.0, 0.1, 0.35]),
+        chunks=st.lists(
+            st.tuples(_energy, _energy, st.sampled_from([0.0, 0.5, 60.0, 61.3])),
+            max_size=30,
+        ),
+    )
+    def test_matches_chunk_by_chunk(self, capacity, soc, theta, degradation, chunks):
+        harvested = [h for h, _, _ in chunks]
+        demands = [d for _, d, _ in chunks]
+        ends, t = [], 0.0
+        for _, _, duration in chunks:
+            t += duration
+            ends.append(t)
+
+        fused_rig = _rig(capacity, soc, theta, degradation)
+        chain_rig = _rig(capacity, soc, theta, degradation)
+        ref_rig = _rig(capacity, soc, theta, degradation)
+
+        battery, switch, calls, bus = fused_rig
+        result = switch.apply_chunks(battery, harvested, demands, ends)
+
+        battery, switch, calls, bus = chain_rig
+        last, short = -1, []
+        for i, (h, d, end) in enumerate(zip(harvested, demands, ends)):
+            window = switch.apply_window(battery, h, d, end)
+            if window.charged_j > 0:
+                last = i
+            if not window.balanced:
+                short.append((i, window.shortfall_j))
+        assert result.last_charged == last
+        assert result.shortfalls == short
+
+        battery, switch, calls, bus = ref_rig
+        ref_last, ref_short, ref_events = -1, [], []
+        for i, (h, d, end) in enumerate(zip(harvested, demands, ends)):
+            charged, shortfall = _reference_window(switch, battery, h, d, end)
+            if charged > 0:
+                ref_last = i
+            if shortfall > 1e-12:
+                ref_short.append((i, shortfall))
+                ref_events.append(
+                    (
+                        (end, "energy", "energy.brownout"),
+                        dict(
+                            severity="warning",
+                            node_id=4,
+                            shortfall_j=shortfall,
+                            demand_j=d,
+                            harvested_j=h,
+                            soc=battery.soc,
+                        ),
+                    )
+                )
+        assert (ref_last, ref_short) == (last, short)
+
+        for rig in (chain_rig, ref_rig):
+            assert _state(rig[0]) == _state(fused_rig[0])
+        assert fused_rig[2] == chain_rig[2] == [unmet for _, unmet in short]
+        assert fused_rig[3].events == chain_rig[3].events == ref_events
+
+    def test_totals_sum_the_chunks(self):
+        battery, switch, _, _ = _rig(10.0, 0.45, 0.5, 0.0)
+        result = switch.apply_chunks(
+            battery, [2.0, 0.0, 0.5], [0.5, 6.0, 0.5], [60.0, 120.0, 180.0]
+        )
+        totals = result.totals
+        assert totals.green_used_j == pytest.approx(1.0)
+        assert totals.charged_j == pytest.approx(0.5)
+        assert totals.spilled_j == pytest.approx(1.0)
+        assert totals.battery_used_j == pytest.approx(5.0)
+        assert totals.shortfall_j == pytest.approx(1.0)
+        assert result.last_charged == 0
+        assert result.shortfalls == [(1, pytest.approx(1.0))]
+
+    def test_empty_settle_changes_nothing(self):
+        battery, switch, calls, bus = _rig(10.0, 0.3, 0.5, 0.0)
+        before = _state(battery)
+        result = switch.apply_chunks(battery, [], [], [])
+        assert result.last_charged == -1
+        assert result.shortfalls == []
+        assert result.totals.balanced
+        assert _state(battery) == before
+        assert calls == [] and bus.events == []
+
+    def test_sub_ulp_charge_still_counts(self):
+        # 1e-17 J vanishes when added to 3 J, but the battery accepted
+        # it: the chunk is a recharge all the same.
+        battery, switch, _, _ = _rig(10.0, 0.3, 1.0, 0.0)
+        stored = battery.stored_j
+        result = switch.apply_chunks(
+            battery, [0.0, 1e-17, 0.0], [0.0, 0.0, 0.0], [60.0, 120.0, 180.0]
+        )
+        assert battery.stored_j == stored
+        assert result.last_charged == 1
+
+    def test_rejects_negative_energies_before_any_change(self):
+        battery, switch, _, _ = _rig(10.0, 0.3, 1.0, 0.0)
+        before = _state(battery)
+        with pytest.raises(ConfigurationError):
+            switch.apply_chunks(battery, [1.0, -1.0], [0.0, 0.0], [60.0, 120.0])
+        assert _state(battery) == before

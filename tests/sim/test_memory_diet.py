@@ -16,8 +16,9 @@ from repro.constants import SECONDS_PER_DAY
 from repro.energy import SolarModel
 from repro.energy.harvester import Harvester
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.kernels.shading import ShadingTable
-from repro.sim import SimulationConfig, run_mesoscopic
+from repro.sim import SimulationConfig, Simulator, run_mesoscopic, run_simulation
 from repro.sim.mesoscopic_vec import shading_table_width
 
 
@@ -31,6 +32,17 @@ def diet_config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+class TestExactEngineRejectsDiet:
+    def test_simulator_raises(self):
+        with pytest.raises(ConfigurationError, match="mesoscopic engine"):
+            Simulator(diet_config(node_count=3))
+
+    def test_run_simulation_raises_with_a_fault_plan(self):
+        config = diet_config(node_count=3, faults=FaultPlan(ack_loss_probability=0.2))
+        with pytest.raises(ConfigurationError, match="mesoscopic engine"):
+            run_simulation(config)
 
 
 class TestConfigKnobs:

@@ -148,6 +148,31 @@ class TestKernelFlags:
         assert batched["manifest"]["config_hash"] == scalar["manifest"]["config_hash"]
 
 
+class TestDietNeedsMesoscopicEngine:
+    """The exact engine has no diet profile: the CLI refuses up front."""
+
+    def test_exact_engine_with_diet_exits_2(self, capsys):
+        code = main(["simulate", "--nodes", "4", "--days", "0.25",
+                     "--engine", "exact", "--memory-profile", "diet"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--memory-profile diet needs the meso engine" in captured.err
+        assert captured.out == ""
+
+    def test_faults_switching_to_exact_with_diet_exits_2(self, capsys):
+        code = main(["simulate", "--nodes", "4", "--days", "0.25",
+                     "--memory-profile", "diet", "--faults", "ack_loss=0.2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a --faults spec selects it" in err
+
+    def test_exact_sweep_with_diet_exits_2(self, capsys):
+        code = main(["sweep", "--nodes", "4", "--days", "0.25", "--seeds", "1",
+                     "--engine", "exact", "--memory-profile", "diet"])
+        assert code == 2
+        assert "needs the meso engine" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     @pytest.fixture()
     def trace_file(self, tmp_path):
