@@ -33,7 +33,7 @@ from repro.checkpoint.equivalence import VOLATILE_TRACE_FIELDS
 from repro.checkpoint import resume
 from repro.constants import SECONDS_PER_DAY
 from repro.experiments.scenarios import fault_sweep, large_scale_base, testbed_base
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, NodeReboot
 from repro.sim import (
     MesoscopicSimulator,
     SimulationConfig,
@@ -283,6 +283,20 @@ EXACT_CONFIGS: Dict[str, Callable[[], SimulationConfig]] = {
     "exact-brownouts-reboot": lambda: exact_cohort_config(
         initial_soc=0.01, faults=FaultPlan(reboot_on_brownout=True, seed=3)
     ).as_h(1.0),
+    "exact-lorawan": lambda: exact_cohort_config().as_lorawan(),
+    "exact-threshold": lambda: exact_cohort_config().as_hc(0.5),
+    # A one-hour w_u TTL: most periods score a decayed weight, and the
+    # reboot wipes node 3's weight mid-run (wu.stale_decay events).
+    "exact-stale-weight": lambda: exact_cohort_config(
+        w_u_ttl_s=3600.0,
+        faults=FaultPlan(
+            node_reboots=(NodeReboot(node_id=3, time_s=30000.0),), seed=3
+        ),
+    ),
+    # Unsynchronized starts and mixed periods: mostly singleton cohorts.
+    "exact-staggered": lambda: exact_cohort_config(
+        synchronized_start=False, period_range_s=(900.0, 2400.0)
+    ),
 }
 
 #: Exact scenarios that write cadence checkpoints: name -> cadence (s).
