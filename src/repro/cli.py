@@ -211,15 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     simulate.add_argument(
-        "--no-exact-batched",
-        action="store_false",
-        dest="exact_batched",
-        help=(
-            "drain the exact engine's event heap one event at a time "
-            "instead of the (identical) batched same-instant fast path"
-        ),
-    )
-    simulate.add_argument(
         "--json",
         action="store_true",
         dest="as_json",
@@ -525,7 +516,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         w_u_ttl_s=None if ttl_days is None else ttl_days * SECONDS_PER_DAY,
         trace=getattr(args, "trace", False),
         trace_path=getattr(args, "trace_out", None),
-        exact_batched=getattr(args, "exact_batched", True),
         trace_categories=(
             None
             if categories is None

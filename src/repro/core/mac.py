@@ -284,29 +284,14 @@ class BatteryLifespanAwareMac(MacPolicy):
             base * self._retx_estimator.window_energy_multiplier(t)
             for t in range(windows)
         ]
-        effective_w = self.effective_degradation(context.period_start_s)
-        decision = self._selector.select(
+        return self._selector.select(
             battery_energy_j=context.battery_energy_j,
-            normalized_degradation=effective_w,
+            normalized_degradation=self.effective_degradation(
+                context.period_start_s
+            ),
             green_energies_j=context.green_forecast_j,
             estimated_tx_energies_j=estimated,
         )
-        if self._trace is not None and self._trace.wants("window", "debug"):
-            self._trace.emit(
-                context.period_start_s,
-                "window",
-                "window.selected",
-                severity="debug",
-                node_id=self._trace_node,
-                success=decision.success,
-                window_index=decision.window_index,
-                w_u=effective_w,
-                battery_energy_j=context.battery_energy_j,
-                scores=[round(s, 6) for s in decision.scores],
-                difs=[round(d, 6) for d in decision.difs],
-                utilities=[round(u, 6) for u in decision.utilities],
-            )
-        return decision
 
     def observe_result(
         self, window_index: int, retransmissions: int, actual_tx_energy_j: float
@@ -445,9 +430,9 @@ def batch_choose_windows_mixed(
     same cached array), and :func:`score_windows_mixed` masks the pad
     columns infeasible.  Estimator side effects (EWMA re-seeding when
     the estimate is 0) happen in batch order, as one-at-a-time calls
-    would.  No ``window.selected`` event is emitted here: the result
-    carries each row's scores, DIFs, utilities and ``w_u``, and the
-    caller emits the event when it books the decision.
+    would.  No ``window.selected`` event is emitted here: the caller
+    emits it at booking, from
+    :meth:`~MixedBatchWindowDecision.selected_fields`.
     """
     if not macs:
         raise ConfigurationError("at least one MAC is required")

@@ -324,6 +324,22 @@ class MixedBatchWindowDecision:
         rows = np.arange(idx.size)
         return np.where(self.success, self.utilities[rows, idx], 0.0)
 
+    def selected_fields(
+        self, row: int, count: int, battery_energy_j: float
+    ) -> Dict[str, object]:
+        """Row ``row``'s ``window.selected`` trace payload over its
+        ``count`` real windows, scored with ``battery_energy_j``."""
+        success = bool(self.success[row])
+        return dict(
+            success=success,
+            window_index=int(self.window_index[row]) if success else None,
+            w_u=float(self.weights[row]),
+            battery_energy_j=battery_energy_j,
+            scores=[round(v, 6) for v in self.scores[row, :count].tolist()],
+            difs=[round(v, 6) for v in self.difs[row, :count].tolist()],
+            utilities=[round(v, 6) for v in self.utilities[row, :count].tolist()],
+        )
+
 
 def score_windows_mixed(
     battery_energies_j: np.ndarray,

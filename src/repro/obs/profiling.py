@@ -223,9 +223,8 @@ def config_hash(config: object) -> str:
                 # Retention-only: which nodes keep full history never
                 # changes simulation results.
                 "sample_nodes",
-                # The exact engine's batched event drain executes the
-                # same events in the same order with the same RNG
-                # draws; on/off never changes simulation results.
+                # Retired flag (one legal value); old snapshots may
+                # still hold False, which never changed results.
                 "exact_batched",
             )
         }

@@ -201,6 +201,9 @@ class TraceBus:
         self.dropped = 0
         self.emitted = 0
 
+    #: Accepted events diverted by :meth:`hold`, or None while live.
+    _held: Optional[List[TraceEvent]] = None
+
     # ------------------------------------------------------------- filtering
 
     def wants(self, category: str, severity: str = "debug") -> bool:
@@ -236,13 +239,39 @@ class TraceBus:
             node_id=node_id,
             fields=fields,
         )
+        if self._held is not None:
+            self._held.append(event)
+        else:
+            self._append(event)
+        return True
+
+    def publish(self, events: Iterable[TraceEvent]) -> None:
+        """Publish already-built events, in order, exactly as :meth:`emit`
+        would have: same filter, ring accounting and sink."""
+        for event in events:
+            if self.wants(event.category, event.severity):
+                self._append(event)
+
+    def _append(self, event: TraceEvent) -> None:
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)
         self.emitted += 1
         if self._sink is not None:
             self._sink(event)
-        return True
+
+    # --------------------------------------------------------------- holding
+
+    def hold(self) -> None:
+        """Divert accepted events into a list until :meth:`release`;
+        a batched handler publishes them where a one-at-a-time handler
+        would have emitted them."""
+        self._held = []
+
+    def release(self) -> List[TraceEvent]:
+        """Stop holding; returns the events held since :meth:`hold`."""
+        held, self._held = self._held, None
+        return held
 
     # ------------------------------------------------------------ inspection
 

@@ -134,15 +134,10 @@ class SimulationConfig:
     #: trace); off by default because it discards per-node SoC history
     #: some analyses read back.
     compact_trace: bool = False
-    #: Exact-engine batched fast path: same-instant period events (the
-    #: cohorts synchronized deployments produce every whole minute) are
-    #: popped from the event heap in one run and their Algorithm-1
-    #: window decisions computed in a single AirtimeTable-backed vector
-    #: pass.  Execution order, RNG draws, scheduling sequence numbers
-    #: and results are identical to the one-event-at-a-time drain (see
-    #: docs/PERFORMANCE.md); the engine falls back to that drain
-    #: automatically when tracing or packet recording is on (their
-    #: emission order is interleaved per node).  Excluded from the
+    #: Retired: the exact engine has one PERIOD drain, the batched one.
+    #: Only ``True`` is accepted and nothing reads the field; it stays
+    #: because the benchmark still passes ``exact_batched=True``, and is
+    #: removed once the benchmark stops passing it.  Excluded from the
     #: config identity hash.
     exact_batched: bool = True
 
@@ -249,6 +244,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 "compact_trace requires incremental_degradation: the batch "
                 "refresh path re-reads the full SoC trace"
+            )
+        if not self.exact_batched:
+            raise ConfigurationError(
+                "exact_batched=False is gone: the exact engine has one "
+                "PERIOD drain"
             )
         if self.memory_profile not in ("exact", "diet"):
             raise ConfigurationError(

@@ -158,7 +158,6 @@ class Simulator:
         #: Hot-path trace handle; None makes every emission guard dead.
         self._trace = self.obs.trace
         self.queue = EventQueue()
-        self.queue.dispatch = self._dispatch
         self.rng = random.Random(config.seed ^ 0x5EED)
         #: Fault oracle; None reproduces the fault-free world exactly.
         #: The injector draws from its own seeded RNG streams, so runs
@@ -183,7 +182,7 @@ class Simulator:
             if config.record_packets
             else None
         )
-        self._bind_batch_dispatch()
+        self._bind_queue()
         self.adr = AdrController() if config.adr_enabled else None
         self.duty_cycle = (
             DutyCycleLimiter(duty_cycle=config.duty_cycle)
@@ -281,7 +280,7 @@ class Simulator:
         elif kind == "attempt_end":
             self._on_attempt_end(*args)
         elif kind == "period":
-            self._on_period(*args)
+            self._on_period_batch(list(args))
         elif kind == "refresh":
             self._on_refresh(*args)
         elif kind == "reboot":
@@ -291,34 +290,20 @@ class Simulator:
         else:
             raise SchedulingError(f"unknown event kind {kind!r}")
 
-    def _bind_batch_dispatch(self) -> None:
-        """Enable the batched event drain when it is provably inert.
+    def _bind_queue(self) -> None:
+        """Bind the queue's dispatch hooks (pickling strips them).
 
-        Tracing and packet recording interleave their per-node output
-        inside each scalar handler; the batched handler phases its work
-        (settle/forecast for all, then one vector decision, then
-        scheduling), which would reorder those streams.  Results would
-        still be identical, but byte-identical observability is part of
-        the fast path's contract — so those runs keep the scalar drain.
+        Every same-instant run of PERIOD events pops in one go and goes
+        to :meth:`_on_period_batch`; a lone PERIOD event comes through
+        :meth:`_dispatch` as a cohort of one.
         """
-        if (
-            getattr(self.config, "exact_batched", True)
-            and self._trace is None
-            and self.packet_log is None
-        ):
-            self.queue.dispatch_batch = self._dispatch_batch
-            self.queue.batch_kinds = frozenset({"period"})
-        else:
-            self.queue.dispatch_batch = None
-            self.queue.batch_kinds = frozenset()
+        self.queue.dispatch = self._dispatch
+        self.queue.dispatch_batch = self._dispatch_batch
+        self.queue.batch_kinds = frozenset({"period"})
 
     def _dispatch_batch(self, kind: str, batch: List[tuple]) -> None:
-        """Route a same-instant run of named events popped in one go."""
-        if kind == "period":
-            self._on_period_batch([args[0] for args in batch])
-        else:  # pragma: no cover - only "period" is registered batchable
-            for args in batch:
-                self._dispatch(kind, args)
+        """Route a same-instant run of PERIOD events (the one batchable kind)."""
+        self._on_period_batch([args[0] for args in batch])
 
     # -------------------------------------------------------------- running
 
@@ -472,49 +457,26 @@ class Simulator:
             return
         self.queue.schedule_event(when_s, "period", node)
 
-    def _on_period(self, node: EndDevice) -> None:
-        self._events_executed += 1
-        now = self.queue.now_s
-        if node.packet is not None:
-            # Previous packet still in flight at its deadline: fail it.
-            node.finish_packet(now, delivered=False, latency_s=node.period_s)
-        if (
-            self.injector is not None
-            and isinstance(node.mac, BatteryLifespanAwareMac)
-            and node.mac.weight_is_stale(now)
-        ):
-            self.injector.record_stale_weight_period()
-        first_attempt = node.start_period(now)
-        if first_attempt is not None:
-            if self.injector is not None:
-                # Clock skew displaces the node's view of the window
-                # boundary (never before the packet exists).
-                first_attempt = self.injector.skew_attempt(
-                    node.node_id, first_attempt, now
-                )
-            packet = node.packet
-            self.queue.schedule_event(first_attempt, "attempt", node, packet)
-        self._schedule_period(node, now + node.period_s)
-
     def _on_period_batch(self, nodes: List[EndDevice]) -> None:
         """Same-instant period cohort, decided in one vector pass.
 
-        Nodes arrive in exact heap pop order.  The handler phases the
-        scalar :meth:`_on_period` body — per-node settle/forecast, one
-        batched Algorithm-1 scoring, per-node packet/scheduling — in a
-        way that preserves every observable ordering: all cross-node
-        state (RNG streams, estimators, batteries) is touched per node
-        in pop order, and the scheduling loop assigns the exact sequence
-        numbers the scalar drain would (no handler schedules between two
-        same-instant periods).  Nominal attempt energies feeding the
-        scorer come from the shared :class:`~repro.lora.AirtimeTable`
-        entries each node resolved at build time.
+        Nodes arrive in exact heap pop order (a lone PERIOD event is a
+        cohort of one).  Each node settles and forecasts, one batched
+        Algorithm-1 pass scores the cohort, then each decision is
+        booked.  Cross-node state (RNG streams, estimators, batteries)
+        is touched per node in pop order, and booking assigns the
+        sequence numbers a one-event-at-a-time drain would (no handler
+        schedules between two same-instant periods).  Each node's trace
+        events and packet records from the first two phases are held
+        and published as it is booked, so both streams keep that
+        drain's order too.
         """
         now = self.queue.now_s
         self._events_executed += len(nodes)
         harvest = self._cohort_harvest(nodes, now)
-        forecasts = []
+        forecasts, held = [], []
         for node, (powers, oracle) in zip(nodes, harvest):
+            self._hold()
             if node.packet is not None:
                 # Previous packet still in flight at its deadline: fail it.
                 node.finish_packet(now, delivered=False, latency_s=node.period_s)
@@ -525,6 +487,8 @@ class Simulator:
             ):
                 self.injector.record_stale_weight_period()
             forecasts.append(node.begin_period(now, powers, oracle))
+            held.append(self._release())
+        self._hold()
         prof = hot_profiler()
         if prof.enabled:
             started = time.perf_counter()
@@ -532,10 +496,22 @@ class Simulator:
             prof.add("engine.period_batch", time.perf_counter() - started)
         else:
             decisions = self._batch_window_decisions(nodes, forecasts, now)
-        for node, decision in zip(nodes, decisions):
+        scored, _ = self._release()
+        if scored:
+            # Scoring events (w_u decay, window.selected) name their node.
+            slot = {node.node_id: k for k, node in enumerate(nodes)}
+            for event in scored:
+                held[slot[event.node_id]][0].append(event)
+        for node, decision, (events, records) in zip(nodes, decisions, held):
+            if events:
+                self._trace.publish(events)
+            for record in records:
+                self.packet_log.append(record)
             first_attempt = node.finish_period_decision(now, decision)
             if first_attempt is not None:
                 if self.injector is not None:
+                    # Clock skew displaces the node's view of the window
+                    # boundary (never before the packet exists).
                     first_attempt = self.injector.skew_attempt(
                         node.node_id, first_attempt, now
                     )
@@ -543,6 +519,20 @@ class Simulator:
                     first_attempt, "attempt", node, node.packet
                 )
             self._schedule_period(node, now + node.period_s)
+
+    def _hold(self) -> None:
+        """Hold trace events and packet records until :meth:`_release`."""
+        for stream in (self._trace, self.packet_log):
+            if stream is not None:
+                stream.hold()
+
+    def _release(self) -> Tuple[list, list]:
+        """Stop holding; returns the held trace events and packet records."""
+        trace, log = self._trace, self.packet_log
+        return (
+            [] if trace is None else trace.release(),
+            [] if log is None else log.release(),
+        )
 
     def _cohort_harvest(
         self, nodes: List[EndDevice], now: float
@@ -638,54 +628,62 @@ class Simulator:
     ) -> List[WindowDecision]:
         """Per-node window decisions, vectorized where the MAC allows.
 
+        Every node of a run has the policy its config selects.
         Lifespan-aware MACs go through the padded mixed-|T| batch scorer
         (bit-identical per row to the scalar Algorithm 1, estimator side
-        effects in pop order); immediate-transmit baselines consult
+        effects in pop order), whose rows also give each node's
+        ``window.selected`` event; immediate-transmit baselines consult
         their scalar :meth:`~repro.core.MacPolicy.choose_window` — it is
         a constant-time decision with nothing to vectorize.
         """
-        decisions: List[object] = [None] * len(nodes)
-        aware = [
-            i
-            for i, node in enumerate(nodes)
-            if isinstance(node.mac, BatteryLifespanAwareMac)
-        ]
-        aware_set = set(aware)
-        for i, node in enumerate(nodes):
-            if i in aware_set:
-                continue
-            decisions[i] = node.mac.choose_window(
-                PeriodContext(
-                    battery_energy_j=node.battery.stored_j,
-                    green_forecast_j=forecasts[i],
-                    nominal_tx_energy_j=node.attempt_energy_j,
-                    period_start_s=now,
+        if not isinstance(nodes[0].mac, BatteryLifespanAwareMac):
+            return [
+                node.mac.choose_window(
+                    PeriodContext(
+                        battery_energy_j=node.battery.stored_j,
+                        green_forecast_j=forecast,
+                        nominal_tx_energy_j=node.attempt_energy_j,
+                        period_start_s=now,
+                    )
                 )
-            )
-        if aware:
-            counts = [len(forecasts[i]) for i in aware]
-            widest = max(counts)
-            green = np.zeros((len(aware), widest))
-            for row, i in enumerate(aware):
-                green[row, : counts[row]] = forecasts[i]
-            batch = batch_choose_windows_mixed(
-                [nodes[i].mac for i in aware],
-                np.array([nodes[i].battery.stored_j for i in aware]),
-                green,
-                [nodes[i].attempt_energy_j for i in aware],
-                counts,
-                now,
-            )
-            for row, i in enumerate(aware):
-                ok = bool(batch.success[row])
-                count = counts[row]
-                decisions[i] = WindowDecision(
+                for node, forecast in zip(nodes, forecasts)
+            ]
+        counts = [len(forecast) for forecast in forecasts]
+        green = np.zeros((len(nodes), max(counts)))
+        for row, forecast in enumerate(forecasts):
+            green[row, : counts[row]] = forecast
+        stored = [node.battery.stored_j for node in nodes]
+        batch = batch_choose_windows_mixed(
+            [node.mac for node in nodes],
+            np.array(stored),
+            green,
+            [node.attempt_energy_j for node in nodes],
+            counts,
+            now,
+        )
+        trace = self._trace
+        selected = trace is not None and trace.wants("window", "debug")
+        decisions = []
+        for row, (node, count) in enumerate(zip(nodes, counts)):
+            if selected:
+                trace.emit(
+                    now,
+                    "window",
+                    "window.selected",
+                    severity="debug",
+                    node_id=node.node_id,
+                    **batch.selected_fields(row, count, stored[row]),
+                )
+            ok = bool(batch.success[row])
+            decisions.append(
+                WindowDecision(
                     success=ok,
                     window_index=int(batch.window_index[row]) if ok else None,
                     scores=batch.scores[row, :count].tolist(),
                     utilities=batch.utilities[row, :count].tolist(),
                     difs=batch.difs[row, :count].tolist(),
                 )
+            )
         return decisions
 
     def _on_attempt(self, node: EndDevice, packet) -> None:
@@ -951,8 +949,7 @@ class Simulator:
     def __setstate__(self, state: Dict[str, object]) -> None:
         """Re-bind the live hooks pickling strips (dispatch, injector)."""
         self.__dict__.update(state)
-        self.queue.dispatch = self._dispatch
-        self._bind_batch_dispatch()
+        self._bind_queue()
         if self.injector is not None:
             self.injector.rebind(trace=self._trace, now=self._now_clock)
 

@@ -802,7 +802,7 @@ class MesoscopicSimulator:
             )
 
     def _finalize(self, duration_s: float) -> None:
-        from .mesoscopic_vec import _emit_held, _Harvest, _settle_items
+        from .mesoscopic_vec import _Harvest, _settle_items
 
         started = time.perf_counter()
         nodes = list(self.nodes.values())
@@ -813,7 +813,7 @@ class MesoscopicSimulator:
         )
         for node, brownouts in zip(nodes, held):
             if brownouts:
-                _emit_held(self._trace, brownouts)
+                self._trace.publish(brownouts)
             degradation = node.battery.refresh_degradation()
             node.metrics.degradation = degradation
             breakdown = node.battery.last_breakdown

@@ -60,6 +60,7 @@ from ..kernels import contention as kcontention
 from ..kernels import rainflow as krainflow
 from ..kernels import settle as ksettle
 from ..kernels import shading as kshading
+from ..obs import TraceEvent
 from .mesoscopic import (
     MesoNode,
     MonthlySample,
@@ -184,9 +185,9 @@ def _brownout(
     demand_j: float,
     harvested_j: float,
     soc: float,
-) -> tuple:
+) -> TraceEvent:
     """A held ``energy.brownout`` event, as the switch would emit it."""
-    return (
+    return TraceEvent(
         time_s,
         "energy",
         "energy.brownout",
@@ -194,12 +195,6 @@ def _brownout(
         node.node_id,
         dict(shortfall_j=unmet_j, demand_j=demand_j, harvested_j=harvested_j, soc=soc),
     )
-
-
-def _emit_held(trace, events) -> None:
-    """Publish held ``(time, category, name, severity, node, fields)`` events."""
-    for time_s, category, name, severity, node_id, fields in events:
-        trace.emit(time_s, category, name, severity, node_id, **fields)
 
 
 def _apply_settles(plans: list, powers: List[float]) -> Tuple[List[float], List[list]]:
@@ -486,29 +481,16 @@ def _decide_periods(
     success = result.success.tolist()
     window_index = result.window_index.tolist()
     if trace is not None and trace.wants("window", "debug"):
-        # ``BatteryLifespanAwareMac.choose_window``'s event, from the
-        # scorer's rows.
-        weights = result.weights.tolist()
+        # Held with the node's settle brown-outs until it is booked.
         for i, node in enumerate(batch):
-            count = counts[i]
             held[i].append(
-                (
+                TraceEvent(
                     times[i],
                     "window",
                     "window.selected",
                     "debug",
                     node.node_id,
-                    dict(
-                        success=success[i],
-                        window_index=window_index[i] if success[i] else None,
-                        w_u=weights[i],
-                        battery_energy_j=stored[i],
-                        scores=[round(v, 6) for v in result.scores[i, :count].tolist()],
-                        difs=[round(v, 6) for v in result.difs[i, :count].tolist()],
-                        utilities=[
-                            round(v, 6) for v in result.utilities[i, :count].tolist()
-                        ],
-                    ),
+                    result.selected_fields(i, counts[i], stored[i]),
                 )
             )
     return list(
@@ -540,7 +522,7 @@ def _book_periods(
     remaining = len(batch)
     for node, (success, window_index, utility, held) in zip(batch, decisions):
         if held:
-            _emit_held(trace, held)
+            trace.publish(held)
         node.metrics.record_generated()
         if not success:
             node.metrics.record_failure(0, 0.0, energy_drop=True)
@@ -873,7 +855,7 @@ def _resolve_batch(
             node, settle_time, demand = item
             (shortfall,), (brownouts,) = _settle_items([item], harvest, chunk_s)
         if brownouts:
-            _emit_held(trace, brownouts)
+            trace.publish(brownouts)
         outcome = outcomes[node.node_id]
         decision = entry.decision
         if shortfall > demand * 0.5:
@@ -992,7 +974,7 @@ def _refresh_batch(sim, now_s: float, harvest: _Harvest) -> None:
     )
     for node, brownouts in zip(nodes, held):
         if brownouts:
-            _emit_held(trace, brownouts)
+            trace.publish(brownouts)
         degradation = node.battery.refresh_degradation()
         if compact and (exempt is None or node.node_id not in exempt):
             node.battery.trace.compact_tail()

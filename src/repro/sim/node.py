@@ -18,7 +18,6 @@ from ..battery import Battery, TransitionReport
 from ..core import (
     ConfirmedUplinkRetrier,
     MacPolicy,
-    PeriodContext,
     WindowDecision,
     uniform_offset_in_window,
 )
@@ -238,22 +237,6 @@ class EndDevice:
 
     # ------------------------------------------------------------- protocol
 
-    def start_period(self, now_s: float) -> Optional[float]:
-        """Generate this period's packet and run the MAC decision.
-
-        Returns the absolute time of the first transmission attempt, or
-        None when the MAC returned FAIL (packet dropped for energy).
-        """
-        forecast = self.begin_period(now_s)
-        context = PeriodContext(
-            battery_energy_j=self.battery.stored_j,
-            green_forecast_j=forecast,
-            nominal_tx_energy_j=self.attempt_energy_j,
-            period_start_s=now_s,
-        )
-        decision = self.mac.choose_window(context)
-        return self.finish_period_decision(now_s, decision)
-
     def begin_period(
         self,
         now_s: float,
@@ -262,12 +245,12 @@ class EndDevice:
     ):
         """Settle, count the generated packet, and forecast this period.
 
-        First half of :meth:`start_period`; the batched exact engine
-        runs it for every same-instant node before computing the window
-        decisions in one vector pass, passing the settle ``powers`` and
-        (for an oracle forecaster) the ``forecast`` from its cohort-wide
-        harvest evaluation.  Returns the green-energy forecast the MAC
-        decision needs.
+        First half of a period start; the exact engine runs it for every
+        same-instant node before computing the window decisions in one
+        vector pass, passing the settle ``powers`` and (for an oracle
+        forecaster) the ``forecast`` from its cohort-wide harvest
+        evaluation.  Returns the green-energy forecast the MAC decision
+        needs.
         """
         self.settle_to(now_s, powers)
         self.metrics.record_generated()
@@ -282,9 +265,9 @@ class EndDevice:
     ) -> Optional[float]:
         """Apply a window decision: bookkeeping, packet state, schedule.
 
-        Second half of :meth:`start_period` — everything after the MAC
-        consultation, shared verbatim by the scalar and batched paths.
-        Returns the absolute first-attempt time, or None on FAIL.
+        Second half of a period start — everything after the MAC
+        decision.  Returns the absolute first-attempt time, or None on
+        FAIL.
         """
         if not decision.success or decision.window_index is None:
             self.metrics.record_failure(0, 0.0, energy_drop=True)

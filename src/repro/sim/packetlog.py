@@ -96,8 +96,14 @@ class PacketLog:
         """The retained node-id set, or None when everything is stored."""
         return self._sample_nodes
 
+    #: Records diverted by :meth:`hold`, or None while appending live.
+    _held: Optional[List[PacketRecord]] = None
+
     def append(self, record: PacketRecord) -> None:
         """Add a record, evicting the oldest stored one past capacity."""
+        if self._held is not None:
+            self._held.append(record)
+            return
         self.generated += 1
         self.attempts += record.attempts
         if record.delivered:
@@ -113,6 +119,15 @@ class PacketLog:
         if len(self._records) == self._capacity:
             self.dropped += 1
         self._records.append(record)
+
+    def hold(self) -> None:
+        """Divert appended records (uncounted) until :meth:`release`."""
+        self._held = []
+
+    def release(self) -> List[PacketRecord]:
+        """Stop holding; returns the records held since :meth:`hold`."""
+        held, self._held = self._held, None
+        return held
 
     def merge(self, other: "PacketLog") -> None:
         """Fold another log's counters and stored records into this one.

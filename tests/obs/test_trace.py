@@ -93,6 +93,36 @@ class TestTraceBus:
         assert len(events) == 5  # sink got every accepted event
         assert len(bus) == 2  # ring retained only the newest
 
+    def test_held_events_wait_for_publish(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        bus = TraceBus(capacity=2, categories=("packet",), sink=JsonlSink(path))
+        bus.emit(0.0, "packet", "packet.generated")
+        bus.hold()
+        assert bus.emit(1.0, "packet", "packet.finished", node_id=4)
+        assert not bus.emit(1.0, "engine", "tick")  # filtered while holding
+        bus.emit(2.0, "packet", "packet.dropped")
+        held = bus.release()
+        assert [e.name for e in held] == ["packet.finished", "packet.dropped"]
+        # Nothing held was retained, sunk or counted.
+        assert (len(bus), bus.emitted, bus.dropped) == (1, 1, 0)
+        bus.emit(3.0, "packet", "packet.attempt")  # live again
+        bus.publish(held)
+        assert (bus.emitted, bus.dropped) == (4, 2)
+        assert [e.time_s for e in bus.events] == [1.0, 2.0]
+        bus.close()
+        assert [e.time_s for e in iter_jsonl(path)] == [0.0, 3.0, 1.0, 2.0]
+
+    def test_publish_filters_like_emit(self):
+        bus = TraceBus(min_severity="info")
+        bus.publish(
+            [
+                TraceEvent(0.0, "packet", "packet.attempt", "debug"),
+                TraceEvent(0.0, "packet", "packet.finished", "info"),
+            ]
+        )
+        assert [e.name for e in bus.events] == ["packet.finished"]
+        assert bus.emitted == 1
+
 
 class TestJsonl:
     def test_file_round_trip(self, tmp_path):

@@ -5,9 +5,8 @@ per-node metrics, packet log, monthly series, linear rates and (where
 traced) its JSONL trace with wall-clock fields masked, plus its heap
 counters.  Every exact-engine scenario (``EXACT_CONFIGS``) is pinned by
 its per-node metrics, network counters, packet log, masked trace and
-heap counters; it runs traced and untraced, with packets on the
-one-at-a-time drain and without packets on both drains, and all of
-those runs must agree.  The digests live in ``golden_digests.json``
+heap counters; it runs traced, untraced, and untraced without packets,
+and all of those runs must agree.  The digests live in ``golden_digests.json``
 next to this module; the tests compare fresh runs against them, so any
 change to what an engine computes or emits shows up as a digest
 mismatch.
@@ -322,9 +321,7 @@ def _without_packets(digests: Dict[str, object]) -> Dict[str, object]:
 def run_exact_scenario(name: str, directory: str) -> Tuple[object, Optional[str]]:
     """Run exact scenario ``name`` every way it can run; all must agree.
 
-    The traced run and the untraced run with packets take the
-    one-at-a-time drain; without packets the run takes the batched
-    drain, or the one-at-a-time drain with ``exact_batched=False``.
+    It runs traced, untraced, and untraced without packets.
     ``exact-faults-resumed`` resumes each checkpointed variant from its
     newest snapshot.  Returns the traced run's (result, trace path).
     """
@@ -347,12 +344,10 @@ def run_exact_scenario(name: str, directory: str) -> Tuple[object, Optional[str]
     expected = exact_digests(traced)
     untraced, _ = run(config)
     assert exact_digests(untraced) == expected, name
-    for batched in (True, False):
-        variant = config.replace(record_packets=False, exact_batched=batched)
-        result, _ = run(variant)
-        assert _without_packets(exact_digests(result)) == _without_packets(
-            expected
-        ), (name, batched)
+    result, _ = run(config.replace(record_packets=False))
+    assert _without_packets(exact_digests(result)) == _without_packets(
+        expected
+    ), name
     return traced, path
 
 

@@ -1,16 +1,17 @@
-"""Exact-engine batched fast path: batched drain ≡ one-at-a-time drain.
+"""The exact engine's batched PERIOD drain and the queue that feeds it.
 
-The batched period handler must reproduce the scalar reference run bit
-for bit — same events in the same order, same RNG draws, same metrics —
-for every MAC policy and forecaster family, because ``exact_batched``
-is excluded from the config identity hash on exactly that promise.
+Every same-instant run of PERIOD events pops in one go and goes through
+one batched handler, traced, packet-recording and untraced runs alike.
+Its outputs are pinned by the exact golden scenarios
+(``tests/sim/test_exact_golden.py``).
 """
 
+import copy
 import pickle
 
 import pytest
 
-from repro.faults import FaultPlan, NodeReboot
+from repro.exceptions import ConfigurationError
 from repro.obs import config_hash
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator, run_simulation
@@ -25,60 +26,6 @@ BASE = dict(
 )
 
 
-def _assert_identical(config):
-    ref = run_simulation(config.replace(exact_batched=False))
-    fast = run_simulation(config)
-    assert fast.events_executed == ref.events_executed
-    assert fast.uplinks_received == ref.uplinks_received
-    assert fast.disseminations_sent == ref.disseminations_sent
-    assert set(fast.metrics.nodes) == set(ref.metrics.nodes)
-    for node_id, expected in ref.metrics.nodes.items():
-        assert fast.metrics.nodes[node_id] == expected
-    return ref, fast
-
-
-class TestBatchedRunEquivalence:
-    def test_blam_policy(self):
-        _assert_identical(SimulationConfig(**BASE))
-
-    def test_lorawan_policy(self):
-        _assert_identical(SimulationConfig(**BASE).as_lorawan())
-
-    def test_threshold_only_policy(self):
-        _assert_identical(SimulationConfig(**BASE).as_hc(0.5))
-
-    def test_same_period_cohort(self):
-        # Every node in one whole-minute cohort: the largest batches the
-        # heap can produce, every period a single vector pass.
-        _assert_identical(
-            SimulationConfig(**{**BASE, "period_range_s": (1800.0, 1800.0)})
-        )
-
-    def test_noisy_forecaster(self):
-        # Per-node forecast RNG streams must be drawn in pop order.
-        _assert_identical(
-            SimulationConfig(**BASE, forecaster="noisy", forecast_sigma=0.2)
-        )
-
-    def test_staggered_starts_degenerate_batches(self):
-        # Unsynchronized offsets are continuous uniforms: batches are
-        # size 1 and the fast path must degrade to the scalar drain.
-        _assert_identical(
-            SimulationConfig(**{**BASE, "synchronized_start": False})
-        )
-
-    def test_with_fault_plan(self):
-        plan = FaultPlan(
-            node_reboots=(
-                NodeReboot(node_id=3, time_s=3600.0),
-                NodeReboot(node_id=7, time_s=7200.0),
-            )
-        )
-        _assert_identical(
-            SimulationConfig(**BASE, faults=plan, w_u_ttl_s=3600.0)
-        )
-
-
 class TestBatchingGuards:
     def test_enabled_by_default(self):
         sim = Simulator(SimulationConfig(**BASE))
@@ -86,23 +33,32 @@ class TestBatchingGuards:
         assert sim.queue.dispatch_batch is not None
 
     def test_disabled_by_flag(self):
-        sim = Simulator(SimulationConfig(**BASE, exact_batched=False))
-        assert sim.queue.batch_kinds == frozenset()
-        assert sim.queue.dispatch_batch is None
+        """The retired flag cannot switch the drain off any more."""
+        with pytest.raises(ConfigurationError, match="exact_batched"):
+            SimulationConfig(**BASE, exact_batched=False)
 
     def test_disabled_under_tracing(self):
+        """Tracing no longer disables the batched drain."""
         sim = Simulator(SimulationConfig(**BASE, trace=True))
-        assert sim.queue.batch_kinds == frozenset()
+        assert sim.queue.batch_kinds == frozenset({"period"})
 
     def test_disabled_under_packet_recording(self):
+        """Packet recording no longer disables the batched drain."""
         sim = Simulator(SimulationConfig(**BASE, record_packets=True))
-        assert sim.queue.batch_kinds == frozenset()
+        assert sim.queue.batch_kinds == frozenset({"period"})
+
+    def test_enabled_traced_with_packets(self):
+        sim = Simulator(SimulationConfig(**BASE, trace=True, record_packets=True))
+        assert sim.queue.batch_kinds == frozenset({"period"})
+        assert sim.queue.dispatch_batch is not None
 
     def test_excluded_from_config_hash(self):
+        # Snapshots from before the flag was retired may hold False
+        # (unpickling skips validation); they hash like any other.
         config = SimulationConfig(**BASE)
-        assert config_hash(config) == config_hash(
-            config.replace(exact_batched=False)
-        )
+        stale = copy.copy(config)
+        object.__setattr__(stale, "exact_batched", False)
+        assert config_hash(config) == config_hash(stale)
 
     def test_queue_pickle_drops_hook_keeps_kinds(self):
         sim = Simulator(SimulationConfig(**BASE))

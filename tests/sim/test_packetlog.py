@@ -45,6 +45,19 @@ class TestPacketLog:
         assert log.dropped == 2
         assert [r.node_id for r in log] == [2, 3]
 
+    def test_held_records_wait_for_reappend(self):
+        log = PacketLog()
+        log.append(record(0))
+        log.hold()
+        log.append(record(1, delivered=False, attempts=0, energy_drop=True))
+        assert (len(log), log.generated, log.energy_drops) == (1, 1, 0)
+        held = log.release()
+        log.append(record(2))
+        for held_record in held:
+            log.append(held_record)
+        assert [r.node_id for r in log] == [0, 2, 1]
+        assert (log.generated, log.energy_drops) == (3, 1)
+
     def test_for_node(self):
         log = PacketLog()
         log.append(record(0))
