@@ -621,12 +621,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"cannot listen for workers: {exc}", file=sys.stderr)
             return 2
     profile_hot = getattr(args, "profile_hot", False)
-    prof = kernel_backend_name = None
+    prof = None
     if profile_hot:
-        from .kernels import backend as _kernel_backend
         from .obs import hot_profiler
 
-        kernel_backend_name = _kernel_backend()
         prof = hot_profiler()
         prof.reset()
         prof.enable()
@@ -658,7 +656,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         manifest.write(manifest_out)
     if prof is not None and result.obs is not None:
         # The per-kernel counters ride along in the registry export.
-        prof.publish(result.obs.metrics, kernel_backend_name)
+        prof.publish(result.obs.metrics)
     if args.metrics_out is not None and result.obs is not None:
         _write_metrics(args.metrics_out, result.obs.metrics)
 
@@ -681,10 +679,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if manifest_out is not None:
             payload["manifest_path"] = manifest_out
         if prof is not None:
-            payload["hot_kernels"] = {
-                "backend": kernel_backend_name,
-                "kernels": prof.stats,
-            }
+            payload["hot_kernels"] = {"kernels": prof.stats}
         print(json.dumps(payload, sort_keys=True))
         return 0
 
@@ -708,7 +703,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if manifest.sim_s_per_wall_s:
             print(f"  {'sim_s_per_wall_s':28s} {manifest.sim_s_per_wall_s:.6g}")
     if prof is not None:
-        print(prof.render_table(kernel_backend_name))
+        print(prof.render_table())
     if args.trace_out is not None:
         print(f"trace written to {args.trace_out}")
     if manifest_out is not None:

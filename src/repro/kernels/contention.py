@@ -7,12 +7,9 @@ overlap → interference, and for interfered attempts the order-sensitive
 per-gateway mW accumulation plus the capture-threshold test.  The
 comparisons are exact and the mW accumulation follows the scalar
 resolver's operand order (statics first, then the universe in index
-order), so every backend produces bit-identical ``ok`` vectors:
-
-* ``numpy`` — the boolean-matrix scan with a scalar per-row fallback
-  for the (rare) interfered attempts; this is the reference
-  implementation, lifted verbatim from the resolver.
-* ``numba`` — the same scan as compiled per-row loops.
+order), so the ``ok`` vectors are bit-identical to the scalar
+resolver's: a boolean-matrix scan with a scalar per-row fallback for the
+(rare) interfered attempts, lifted verbatim from the resolver.
 
 All RNG draws (offsets, channels, backoffs) stay with the caller — the
 kernel only consumes already-drawn placements.
@@ -22,12 +19,11 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..obs.profiling import hot_profiler
-from . import BACKEND
 
 _PROF = hot_profiler()
 
@@ -37,7 +33,7 @@ class ResolveContext:
 
     Holds the per-entry static data (spreading factors, range flags,
     linear received powers, sensitivities) and the static-interferer
-    rows, in whichever layout the active backend consumes.
+    rows.
     """
 
     __slots__ = (
@@ -54,10 +50,6 @@ class ResolveContext:
         "s_ends",
         "s_chans",
         "s_sfs",
-        "lin_arr",
-        "sens_arr",
-        "rssi_arr",
-        "s_lin_arr",
     )
 
     def __init__(self, nodes, static_attempts, omega, capture_db):
@@ -86,34 +78,6 @@ class ResolveContext:
             )
         else:
             self.s_starts = self.s_ends = self.s_chans = self.s_sfs = None
-        self.lin_arr = None
-        self.sens_arr = None
-        self.rssi_arr = None
-        self.s_lin_arr = None
-
-    def _arrays(self):
-        """Dense per-entry arrays for the JIT backend (built lazily)."""
-        if self.lin_arr is None:
-            self.lin_arr = np.array(self.lin_list, dtype=np.float64)
-            self.sens_arr = np.array(
-                [node.sensitivity_dbm for node in self.nodes]
-            )
-            self.rssi_arr = np.array(
-                [node.rssi_by_gateway for node in self.nodes],
-                dtype=np.float64,
-            )
-            if self.ns:
-                self.s_lin_arr = np.array(
-                    [s.lin_mw for s in self.static_attempts], dtype=np.float64
-                )
-            else:
-                self.s_lin_arr = np.empty((0, self.gateways))
-        return (
-            self.lin_arr,
-            self.sens_arr,
-            self.rssi_arr,
-            self.s_lin_arr,
-        )
 
 
 def node_rssi_lin_mw(node) -> List[float]:
@@ -129,193 +93,6 @@ def node_rssi_lin_mw(node) -> List[float]:
     return lin
 
 
-def _round_ok_numpy(
-    ctx: ResolveContext,
-    b_starts,
-    b_ends,
-    b_chans,
-    b_entry,
-    u_starts,
-    u_ends,
-    u_chans,
-    u_entry_arr,
-    nres: int,
-):
-    """Reference implementation: boolean-matrix scan + scalar capture."""
-    kb = b_starts.size
-    sfs_arr = ctx.sfs_arr
-    u_sfs = sfs_arr[u_entry_arr]
-    b_sfs = sfs_arr[b_entry]
-    overlap = (b_starts[:, None] < u_ends[None, :]) & (
-        u_starts[None, :] < b_ends[:, None]
-    )
-    overlap[np.arange(kb), nres + np.arange(kb)] = False
-    concurrent = overlap.sum(axis=1)
-    same = (
-        overlap
-        & (u_chans[None, :] == b_chans[:, None])
-        & (u_sfs[None, :] == b_sfs[:, None])
-    )
-    icount = same.sum(axis=1)
-    ns = ctx.ns
-    if ns:
-        s_overlap = (b_starts[:, None] < ctx.s_ends[None, :]) & (
-            ctx.s_starts[None, :] < b_ends[:, None]
-        )
-        concurrent = concurrent + s_overlap.sum(axis=1)
-        s_same = (
-            s_overlap
-            & (ctx.s_chans[None, :] == b_chans[:, None])
-            & (ctx.s_sfs[None, :] == b_sfs[:, None])
-        )
-        icount = icount + s_same.sum(axis=1)
-    free = concurrent + 1 <= ctx.omega
-    ok = free & ctx.in_range[b_entry] & (icount == 0)
-    # Interfered attempts drop to the exact scalar accumulation — the
-    # interference sum and capture test are order-sensitive float math
-    # (statics first, like the scalar resolver's accumulation).
-    gateways = ctx.gateways
-    lin_list = ctx.lin_list
-    nodes = ctx.nodes
-    capture_db = ctx.capture_db
-    for i in np.nonzero(free & (icount > 0))[0]:
-        node = nodes[b_entry[i]]
-        mw = [0.0] * gateways
-        if ns:
-            for si in np.nonzero(s_same[i])[0]:
-                s_lin = ctx.static_attempts[si].lin_mw
-                for g in range(gateways):
-                    mw[g] += s_lin[g]
-        for u in np.nonzero(same[i])[0]:
-            other_lin = lin_list[u_entry_arr[u]]
-            for g in range(gateways):
-                mw[g] += other_lin[g]
-        hit = False
-        sens = node.sensitivity_dbm
-        rssi_list = node.rssi_by_gateway
-        for g in range(gateways):
-            rssi = rssi_list[g]
-            if rssi < sens:
-                continue
-            if mw[g] == 0.0:
-                hit = True
-                break
-            if rssi - 10.0 * math.log10(mw[g]) >= capture_db:
-                hit = True
-                break
-        ok[i] = hit
-    return ok
-
-
-if BACKEND == "numba":
-    from numba import njit
-
-    @njit(cache=True)
-    def _round_ok_jit(
-        b_starts, b_ends, b_chans, b_entry,
-        u_starts, u_ends, u_chans, u_entry,
-        nres, sfs, in_range, lin, sens, rssi,
-        s_starts, s_ends, s_chans, s_sfs, s_lin,
-        omega, capture_db,
-    ):  # pragma: no cover - exercised only with Numba installed
-        kb = b_starts.shape[0]
-        nu = u_starts.shape[0]
-        ns = s_starts.shape[0]
-        gateways = lin.shape[1]
-        ok = np.zeros(kb, dtype=np.bool_)
-        mw = np.empty(gateways)
-        for i in range(kb):
-            e = b_entry[i]
-            bs = b_starts[i]
-            be = b_ends[i]
-            bc = b_chans[i]
-            bsf = sfs[e]
-            concurrent = 0
-            icount = 0
-            for u in range(nu):
-                if u == nres + i:
-                    continue
-                if bs < u_ends[u] and u_starts[u] < be:
-                    concurrent += 1
-                    if u_chans[u] == bc and sfs[u_entry[u]] == bsf:
-                        icount += 1
-            for s in range(ns):
-                if bs < s_ends[s] and s_starts[s] < be:
-                    concurrent += 1
-                    if s_chans[s] == bc and s_sfs[s] == bsf:
-                        icount += 1
-            if concurrent + 1 > omega:
-                continue
-            if icount == 0:
-                ok[i] = in_range[e]
-                continue
-            for g in range(gateways):
-                mw[g] = 0.0
-            for s in range(ns):
-                if bs < s_ends[s] and s_starts[s] < be:
-                    if s_chans[s] == bc and s_sfs[s] == bsf:
-                        for g in range(gateways):
-                            mw[g] += s_lin[s, g]
-            for u in range(nu):
-                if u == nres + i:
-                    continue
-                if bs < u_ends[u] and u_starts[u] < be:
-                    if u_chans[u] == bc and sfs[u_entry[u]] == bsf:
-                        for g in range(gateways):
-                            mw[g] += lin[u_entry[u], g]
-            hit = False
-            for g in range(gateways):
-                r = rssi[e, g]
-                if r < sens[e]:
-                    continue
-                if mw[g] == 0.0:
-                    hit = True
-                    break
-                if r - 10.0 * math.log10(mw[g]) >= capture_db:
-                    hit = True
-                    break
-            ok[i] = hit
-        return ok
-
-    _EMPTY_F = np.empty(0)
-    _EMPTY_I = np.empty(0, dtype=np.int64)
-
-    def _round_ok_numba(
-        ctx, b_starts, b_ends, b_chans, b_entry,
-        u_starts, u_ends, u_chans, u_entry_arr, nres,
-    ):  # pragma: no cover - exercised only with Numba installed
-        lin, sens, rssi, s_lin = ctx._arrays()
-        if ctx.ns:
-            s_starts, s_ends, s_chans, s_sfs = (
-                ctx.s_starts, ctx.s_ends, ctx.s_chans, ctx.s_sfs,
-            )
-        else:
-            s_starts = s_ends = s_sfs = _EMPTY_F
-            s_chans = _EMPTY_I
-        return _round_ok_jit(
-            b_starts, b_ends,
-            np.asarray(b_chans, dtype=np.int64),
-            np.asarray(b_entry, dtype=np.int64),
-            u_starts, u_ends,
-            np.asarray(u_chans, dtype=np.int64),
-            np.asarray(u_entry_arr, dtype=np.int64),
-            nres,
-            np.asarray(ctx.sfs_arr, dtype=np.int64),
-            ctx.in_range,
-            lin, sens, rssi,
-            np.asarray(s_starts, dtype=np.float64),
-            np.asarray(s_ends, dtype=np.float64),
-            s_chans,
-            np.asarray(s_sfs, dtype=np.float64),
-            s_lin,
-            ctx.omega, ctx.capture_db,
-        )
-
-    _round_ok_impl = _round_ok_numba
-else:
-    _round_ok_impl = _round_ok_numpy
-
-
 def round_ok(
     ctx: ResolveContext,
     b_starts,
@@ -328,21 +105,76 @@ def round_ok(
     u_entry_arr,
     nres: int,
 ):
-    """Scan one resolver round on the active backend.
+    """Scan one resolver round.
 
     Returns the per-attempt ``ok`` boolean vector: admitted by ω,
     in range, and either interference-free or winning capture.
     """
-    if not _PROF.enabled:
-        return _round_ok_impl(
-            ctx, b_starts, b_ends, b_chans, b_entry,
-            u_starts, u_ends, u_chans, u_entry_arr, nres,
-        )
-    started = time.perf_counter()
+    started = time.perf_counter() if _PROF.enabled else None
     try:
-        return _round_ok_impl(
-            ctx, b_starts, b_ends, b_chans, b_entry,
-            u_starts, u_ends, u_chans, u_entry_arr, nres,
+        kb = b_starts.size
+        sfs_arr = ctx.sfs_arr
+        u_sfs = sfs_arr[u_entry_arr]
+        b_sfs = sfs_arr[b_entry]
+        overlap = (b_starts[:, None] < u_ends[None, :]) & (
+            u_starts[None, :] < b_ends[:, None]
         )
+        overlap[np.arange(kb), nres + np.arange(kb)] = False
+        concurrent = overlap.sum(axis=1)
+        same = (
+            overlap
+            & (u_chans[None, :] == b_chans[:, None])
+            & (u_sfs[None, :] == b_sfs[:, None])
+        )
+        icount = same.sum(axis=1)
+        ns = ctx.ns
+        if ns:
+            s_overlap = (b_starts[:, None] < ctx.s_ends[None, :]) & (
+                ctx.s_starts[None, :] < b_ends[:, None]
+            )
+            concurrent = concurrent + s_overlap.sum(axis=1)
+            s_same = (
+                s_overlap
+                & (ctx.s_chans[None, :] == b_chans[:, None])
+                & (ctx.s_sfs[None, :] == b_sfs[:, None])
+            )
+            icount = icount + s_same.sum(axis=1)
+        free = concurrent + 1 <= ctx.omega
+        ok = free & ctx.in_range[b_entry] & (icount == 0)
+        # Interfered attempts drop to the exact scalar accumulation — the
+        # interference sum and capture test are order-sensitive float math
+        # (statics first, like the scalar resolver's accumulation).
+        gateways = ctx.gateways
+        lin_list = ctx.lin_list
+        nodes = ctx.nodes
+        capture_db = ctx.capture_db
+        for i in np.nonzero(free & (icount > 0))[0]:
+            node = nodes[b_entry[i]]
+            mw = [0.0] * gateways
+            if ns:
+                for si in np.nonzero(s_same[i])[0]:
+                    s_lin = ctx.static_attempts[si].lin_mw
+                    for g in range(gateways):
+                        mw[g] += s_lin[g]
+            for u in np.nonzero(same[i])[0]:
+                other_lin = lin_list[u_entry_arr[u]]
+                for g in range(gateways):
+                    mw[g] += other_lin[g]
+            hit = False
+            sens = node.sensitivity_dbm
+            rssi_list = node.rssi_by_gateway
+            for g in range(gateways):
+                rssi = rssi_list[g]
+                if rssi < sens:
+                    continue
+                if mw[g] == 0.0:
+                    hit = True
+                    break
+                if rssi - 10.0 * math.log10(mw[g]) >= capture_db:
+                    hit = True
+                    break
+            ok[i] = hit
+        return ok
     finally:
-        _PROF.add("contention.round_ok", time.perf_counter() - started)
+        if started is not None:
+            _PROF.add("contention.round_ok", time.perf_counter() - started)

@@ -5,159 +5,30 @@ batch of SoC samples, state-identical to feeding the samples through
 ``push`` one by one.  The three-point closure arithmetic
 (``x = |s[-1] - s[-2]|`` vs ``y = |s[-2] - s[-3]|``) uses exact float
 comparisons and a stack whose evolution depends on every prior sample,
-so it stays a sequential kernel in both backends:
-
-* ``numpy`` — delegates to the scalar ``extend_batch`` (monotone runs
-  collapse to one tail assignment; direction changes go through
-  ``push``).  That code *is* the reference.
-* ``numba`` — the same state machine compiled; closed cycles come back
-  as ``(a, b, weight)`` triples and are emitted through the stream's
-  normal ``on_cycle`` path in closure order.
+so it stays a sequential loop: the stream's scalar ``extend_batch``
+(monotone runs collapse to one tail assignment; direction changes go
+through ``push``).
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from ..battery.rainflow import _make_cycle
 from ..obs.profiling import hot_profiler
-from . import BACKEND
 
 _PROF = hot_profiler()
 
 
-def _replay_python(stream, values) -> None:
-    """Reference implementation: the scalar batch replay."""
-    stream.extend_batch(values)
-
-
-if BACKEND == "numba":
-    from numba import njit
-
-    @njit(cache=True)
-    def _replay_jit(
-        values, stack, stack_len, prev, tail, have_prev, have_tail, cycles,
-    ):  # pragma: no cover - exercised only with Numba installed
-        n_cycles = 0
-        n = values.shape[0]
-        i = 0
-        # Bootstrap until both the provisional tail and the fixed first
-        # point exist (replicates StreamingRainflow.push for that phase).
-        while i < n and (not have_tail or not have_prev):
-            v = values[i]
-            i += 1
-            if not have_tail:
-                tail = v
-                have_tail = True
-                continue
-            if v == tail:
-                continue
-            stack[stack_len] = tail
-            stack_len += 1
-            prev = tail
-            tail = v
-            have_prev = True
-        while i < n:
-            v = values[i]
-            if v == tail:
-                i += 1
-                continue
-            if (v > tail) == (tail > prev):
-                # Monotone continuation: jump the tail to the run's end.
-                if v > tail:
-                    j = i
-                    while j + 1 < n and values[j + 1] >= values[j]:
-                        j += 1
-                else:
-                    j = i
-                    while j + 1 < n and values[j + 1] <= values[j]:
-                        j += 1
-                tail = values[j]
-                i = j + 1
-                continue
-            # Direction change: the tail becomes a confirmed turning
-            # point — run the three-point closure.
-            stack[stack_len] = tail
-            stack_len += 1
-            while stack_len >= 3:
-                x = abs(stack[stack_len - 1] - stack[stack_len - 2])
-                y = abs(stack[stack_len - 2] - stack[stack_len - 3])
-                if x < y:
-                    break
-                if stack_len == 3:
-                    # Range Y contains the starting point: half cycle.
-                    cycles[n_cycles, 0] = stack[0]
-                    cycles[n_cycles, 1] = stack[1]
-                    cycles[n_cycles, 2] = 0.5
-                    n_cycles += 1
-                    stack[0] = stack[1]
-                    stack[1] = stack[2]
-                    stack_len = 2
-                else:
-                    cycles[n_cycles, 0] = stack[stack_len - 3]
-                    cycles[n_cycles, 1] = stack[stack_len - 2]
-                    cycles[n_cycles, 2] = 1.0
-                    n_cycles += 1
-                    stack[stack_len - 3] = stack[stack_len - 1]
-                    stack_len -= 2
-            prev = tail
-            tail = v
-            i += 1
-        return stack_len, prev, tail, have_prev, have_tail, n_cycles
-
-    def _replay_numba(stream, values) -> None:  # pragma: no cover
-        vals = np.ascontiguousarray(values, dtype=np.float64)
-        n = vals.shape[0]
-        if n == 0:
-            return
-        old_stack = stream._stack
-        old_len = len(old_stack)
-        stack = np.empty(old_len + n + 4)
-        for k in range(old_len):
-            stack[k] = old_stack[k]
-        tail = stream._tail
-        have_tail = tail is not None
-        cycles = np.empty((n + 4, 3))
-        stack_len, prev, tail, have_prev, have_tail, n_cycles = _replay_jit(
-            vals,
-            stack,
-            old_len,
-            stream._prev,
-            tail if have_tail else 0.0,
-            stream._have_prev,
-            have_tail,
-            cycles,
-        )
-        for k in range(n_cycles):
-            stream._emit(
-                _make_cycle(
-                    float(cycles[k, 0]),
-                    float(cycles[k, 1]),
-                    weight=float(cycles[k, 2]),
-                )
-            )
-        stream._stack = stack[:stack_len].tolist()
-        stream._prev = float(prev)
-        stream._tail = float(tail) if have_tail else None
-        stream._have_prev = bool(have_prev)
-
-    _replay_impl = _replay_numba
-else:
-    _replay_impl = _replay_python
-
-
 def replay(stream, values) -> None:
-    """Advance ``stream`` over ``values`` on the active backend.
+    """Advance ``stream`` over ``values``.
 
     State- and emission-identical to ``stream.extend_batch(values)``.
     """
     if not _PROF.enabled:
-        _replay_impl(stream, values)
+        stream.extend_batch(values)
         return
     started = time.perf_counter()
     try:
-        _replay_impl(stream, values)
+        stream.extend_batch(values)
     finally:
         _PROF.add("rainflow.replay", time.perf_counter() - started)

@@ -10,7 +10,7 @@ drawn once each, written straight into the output and then stored.
 The vectorized sweep sets ``W`` to (longest period + forecast horizon
 + settle chunk) / shading step, rounded up to a power of two, and masks
 night indices out (their slots are never drawn).  Draws come from
-Python's ``random.Random``: both backends share this code.
+Python's ``random.Random``.
 """
 
 from __future__ import annotations

@@ -90,10 +90,10 @@ class HotLoopProfiler:
         rows.sort(key=lambda row: row[2], reverse=True)
         return rows
 
-    def render_table(self, backend: str) -> str:
+    def render_table(self) -> str:
         """The ranked per-kernel table ``--profile-hot`` prints."""
         rows = self.ranked()
-        lines = [f"hot-loop kernels (backend: {backend})"]
+        lines = ["hot-loop kernels"]
         if not rows:
             lines.append("  (no kernel invocations recorded)")
             return "\n".join(lines)
@@ -106,18 +106,12 @@ class HotLoopProfiler:
             )
         return "\n".join(lines)
 
-    def publish(self, registry, backend: str) -> None:
+    def publish(self, registry) -> None:
         """Export the counters through a :class:`MetricsRegistry`.
 
-        Families: ``repro_kernel_calls_total{kernel=...}``,
-        ``repro_kernel_wall_seconds_total{kernel=...}`` and the
-        ``repro_kernel_backend_info{backend=...}`` info gauge.
+        Families: ``repro_kernel_calls_total{kernel=...}`` and
+        ``repro_kernel_wall_seconds_total{kernel=...}``.
         """
-        registry.gauge(
-            "kernel_backend_info",
-            "Selected hot-loop kernel backend (value is always 1)",
-            labels={"backend": backend},
-        ).set(1.0)
         for name, entry in self._stats.items():
             registry.counter(
                 "kernel_calls_total",

@@ -48,7 +48,6 @@ from ..energy import (
     PersistenceForecaster,
     SolarModel,
 )
-from ..kernels import emit_startup_notice
 from ..lora import (
     AdrController,
     ChannelHopper,
@@ -359,7 +358,6 @@ class Simulator:
                 nodes=self.config.node_count,
                 duration_s=self.config.duration_s,
             )
-            emit_startup_notice(self._trace)
         with self.obs.profiler.phase("run"):
             if fresh:
                 self._started = True

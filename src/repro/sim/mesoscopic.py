@@ -45,7 +45,6 @@ from ..energy import (
     SoftwareDefinedSwitch,
     SolarModel,
 )
-from ..kernels import emit_startup_notice
 from ..lora import LogDistanceLink, SpreadingFactor, airtime_table
 from ..obs import Observability, RunManifest, config_hash, git_revision
 from .config import SimulationConfig
@@ -623,7 +622,6 @@ class MesoscopicSimulator:
                 nodes=len(self.nodes),
                 duration_s=duration,
             )
-            emit_startup_notice(self._trace)
 
         with self.obs.profiler.phase("run"):
             from .mesoscopic_vec import run_sweep

@@ -301,7 +301,7 @@ def _apply_chunks(
     ``Battery.charge``/``discharge``/``settle`` per chunk, bit for bit:
     same min/max/accumulation order, the extra (transmission) demand
     added to the final chunk only.  The recurrence itself runs through
-    :func:`repro.kernels.settle.recurrence` (the JIT-able hot loop);
+    :func:`repro.kernels.settle.recurrence`;
     the resulting SoC samples then feed the trace monotone-run merge
     and the streaming-rainflow replay kernel — the semantics are the
     batch-API ones of ``SocTrace.extend_batch`` /

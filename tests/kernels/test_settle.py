@@ -1,23 +1,65 @@
-"""Settle-recurrence kernel ≡ the reference scalar chunk loop.
+"""Settle-recurrence kernel ≡ the exact engine's settle pass.
 
-``repro.kernels.settle._recurrence_python`` *is* the reference; on the
-Numba backend the compiled loop must return bit-identical outputs for
-every input family (charging, discharging with shortfall, clamp at the
-θ cap, trace-integral bootstrap).  On the NumPy backend the public
-wrapper must be a transparent pass-through of the same reference.
+``repro.kernels.settle.recurrence`` must reproduce
+``SoftwareDefinedSwitch.apply_chunks`` bit for bit for every input
+family (charging, discharging with shortfall, clamp at the θ cap,
+trace-integral bootstrap): the same stored energy, the same brown-out
+chunks and total shortfall, and the same SoC-trace state (trapezoid
+integral, last sample time and value).
 """
 
 import random
 
 import pytest
 
+from repro.battery import Battery
+from repro.battery.soc_trace import SocTrace
+from repro.energy import SoftwareDefinedSwitch
 from repro.exceptions import ConfigurationError
 from repro.kernels import settle
 
 
-def _random_case(rng, chunks):
-    capacity = rng.uniform(50.0, 500.0)
-    start = rng.uniform(0.0, 7 * 86400.0)
+def _settle_both(battery, theta, ends, durations, powers, sleep_w, extra_j):
+    """Settle one run of chunks through the kernel and through the switch.
+
+    The kernel starts from the battery's state; afterwards the battery
+    holds the switch's result, which the kernel's outputs must equal.
+    Returns the kernel's output tuple.
+    """
+    trace = battery.trace
+    have_prev = trace._last_time is not None
+    kernel = settle.recurrence(
+        ends=ends,
+        durations=durations,
+        powers=powers,
+        sleep_w=sleep_w,
+        extra_j=extra_j,
+        stored=battery.stored_j,
+        limit_j=min(battery.current_max_capacity_j, theta * battery.capacity_j),
+        capacity_j=battery.capacity_j,
+        have_prev=have_prev,
+        prev_t=trace._last_time if have_prev else 0.0,
+        prev_c=trace._last_soc if have_prev else 0.0,
+        integral=trace._weighted_integral,
+    )
+    harvested = [power * duration for power, duration in zip(powers, durations)]
+    demands = [sleep_w * duration for duration in durations]
+    demands[-1] += extra_j
+    result = SoftwareDefinedSwitch(soc_cap=theta).apply_chunks(
+        battery, harvested, demands, ends
+    )
+    socs, stored, shortfall, integral, last_t, last_soc, short = kernel
+    assert stored == battery.stored_j
+    assert short == result.shortfalls
+    assert shortfall == result.totals.shortfall_j
+    assert integral == trace._weighted_integral
+    assert last_t == trace._last_time
+    assert last_soc == trace._last_soc
+    assert len(socs) == len(ends) and socs[-1] == last_soc
+    return kernel
+
+
+def _random_chunks(rng, start, chunks):
     ends, durations, powers = [], [], []
     t = start
     for _ in range(chunks):
@@ -33,67 +75,42 @@ def _random_case(rng, chunks):
         powers=powers,
         sleep_w=rng.uniform(1e-6, 1e-4),
         extra_j=rng.uniform(0.0, 5.0) if rng.random() < 0.5 else 0.0,
-        stored=rng.uniform(0.0, capacity),
-        limit_j=rng.uniform(0.3, 1.0) * capacity,
-        capacity_j=capacity,
-        have_prev=rng.random() < 0.5,
-        prev_t=start,
-        prev_c=rng.random(),
-        integral=rng.uniform(0.0, 1e4),
     )
-
-
-def _run_both(case):
-    kernel = settle.recurrence(**case)
-    reference = settle._recurrence_python(**case)
-    return kernel, reference
-
-
-def _assert_equal(kernel, reference):
-    k_socs, k_stored, k_short, k_integral, k_t, k_c, k_chunks = kernel
-    r_socs, r_stored, r_short, r_integral, r_t, r_c, r_chunks = reference
-    assert list(k_socs) == list(r_socs)
-    assert list(k_chunks) == list(r_chunks)
-    assert k_stored == r_stored
-    assert k_short == r_short
-    assert k_integral == r_integral
-    assert k_t == r_t
-    assert k_c == r_c
 
 
 class TestRecurrenceEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_chunks(self, seed):
         rng = random.Random(seed)
-        case = _random_case(rng, chunks=rng.randint(1, 60))
-        kernel, reference = _run_both(case)
-        _assert_equal(kernel, reference)
+        battery = Battery(rng.uniform(50.0, 500.0), rng.random())
+        theta = rng.choice((0.3, 0.5, 0.8, 1.0))
+        # Two consecutive settles: the second starts from a trace that
+        # already carries an integral and a last sample.
+        start = rng.uniform(0.0, 7 * 86400.0)
+        for _ in range(2):
+            chunks = _random_chunks(rng, start, rng.randint(1, 60))
+            _settle_both(battery, theta, **chunks)
+            start = chunks["ends"][-1]
 
     def test_single_chunk_bootstraps_trace_integral(self):
-        case = _random_case(random.Random(99), chunks=1)
-        case["have_prev"] = False
-        kernel, reference = _run_both(case)
-        _assert_equal(kernel, reference)
-        # First sample only seeds (prev_t, prev_c); integral untouched.
-        assert kernel[3] == case["integral"]
+        battery = Battery(200.0, 0.4)
+        battery.trace = SocTrace()  # no sample yet
+        chunks = _random_chunks(random.Random(99), 0.0, 1)
+        kernel = _settle_both(battery, 0.8, **chunks)
+        # First sample only seeds (last_t, last_soc); integral untouched.
+        assert kernel[3] == 0.0
 
     def test_deep_discharge_accumulates_shortfall(self):
-        case = dict(
+        battery = Battery(200.0, 0.25)
+        kernel = _settle_both(
+            battery,
+            1.0,
             ends=[100.0, 200.0, 300.0],
             durations=[100.0, 100.0, 100.0],
             powers=[0.0, 0.0, 0.0],
             sleep_w=1.0,  # absurd draw: guarantees stored hits zero
             extra_j=10.0,
-            stored=50.0,
-            limit_j=200.0,
-            capacity_j=200.0,
-            have_prev=True,
-            prev_t=0.0,
-            prev_c=0.25,
-            integral=0.0,
         )
-        kernel, reference = _run_both(case)
-        _assert_equal(kernel, reference)
         assert kernel[1] == 0.0  # battery empty
         assert kernel[2] > 0.0  # unmet demand recorded
         # Each short chunk is listed once, in order, and the listed
@@ -107,32 +124,27 @@ class TestRecurrenceEquivalence:
         assert total == kernel[2]
 
     def test_funded_chunks_are_not_short(self):
-        case = _random_case(random.Random(5), chunks=8)
-        case.update(powers=[1.0] * 8, extra_j=0.0)  # harvest covers all
-        kernel, reference = _run_both(case)
-        _assert_equal(kernel, reference)
+        rng = random.Random(5)
+        battery = Battery(rng.uniform(50.0, 500.0), rng.random())
+        chunks = _random_chunks(rng, 0.0, 8)
+        chunks.update(powers=[1.0] * 8, extra_j=0.0)  # harvest covers all
+        kernel = _settle_both(battery, 0.5, **chunks)
         assert kernel[6] == [] and kernel[2] == 0.0
 
     def test_charge_clamps_at_limit(self):
-        case = dict(
+        battery = Battery(100.0, 0.1)
+        kernel = _settle_both(
+            battery,
+            0.6,
             ends=[100.0, 200.0],
             durations=[100.0, 100.0],
             powers=[1.0, 1.0],  # huge harvest
             sleep_w=1e-6,
             extra_j=0.0,
-            stored=10.0,
-            limit_j=60.0,
-            capacity_j=100.0,
-            have_prev=True,
-            prev_t=0.0,
-            prev_c=0.1,
-            integral=0.0,
         )
-        kernel, reference = _run_both(case)
-        _assert_equal(kernel, reference)
         assert kernel[1] == 60.0  # θ cap, not capacity
 
-    def test_out_of_range_soc_raises_on_active_backend(self):
+    def test_out_of_range_soc_raises(self):
         case = dict(
             ends=[100.0],
             durations=[100.0],

@@ -115,7 +115,7 @@ class TestFullGridBitIdentity:
     """Table entries ≡ cold formula evaluations over the whole grid.
 
     The AirtimeTable backs the vectorized engines' kernel layer, so a
-    single drifting entry would silently break the scalar ≡ vec ≡ JIT
+    single drifting entry would silently break the scalar ≡ vec
     equivalence suites; every cached float must equal the value a fresh
     (un-memoized) ``time_on_air``/``tx_energy`` call produces.
     """

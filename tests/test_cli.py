@@ -113,7 +113,7 @@ class TestKernelFlags:
                      "--profile-hot"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "hot-loop kernels (backend:" in out
+        assert "hot-loop kernels" in out
         assert "shading.gather" in out
 
     def test_profile_hot_json_payload(self, capsys):
@@ -122,7 +122,7 @@ class TestKernelFlags:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         hot = payload["hot_kernels"]
-        assert hot["backend"] in ("numpy", "numba")
+        assert set(hot) == {"kernels"}
         assert hot["kernels"]["shading.gather"]["calls"] > 0
 
     def test_profile_hot_metrics_export(self, tmp_path):
@@ -133,7 +133,7 @@ class TestKernelFlags:
             metric["name"]
             for metric in json.loads(out.read_text())["metrics"]
         }
-        assert "repro_kernel_backend_info" in names
+        assert "repro_kernel_backend_info" not in names
         assert "repro_kernel_calls_total" in names
         assert "repro_kernel_wall_seconds_total" in names
 
