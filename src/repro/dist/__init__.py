@@ -1,16 +1,19 @@
-"""``repro.dist`` — the distributed execution plane.
+"""``repro.dist`` — the execution plane for every parallel job.
 
-A coordinator (the process running :func:`repro.sim.sharded.run_sharded`)
-listens on a TCP socket; ``repro worker`` agents connect *out* to it,
-complete a version/config-hash handshake, and are leased gateway cells
-one at a time.  Workers simulate each cell locally, then stream the
-cell's result artifact back as length-prefixed JSON frames; the
-coordinator spills those frames straight to per-cell files on disk and
-merges them lazily at finalize, so its peak memory never scales with the
-total packet-log volume.
+A coordinator (the process running :func:`repro.sim.sharded.run_sharded`
+or :func:`repro.sweep.run_sweep`) listens on a TCP socket; ``repro
+worker`` agents connect *out* to it, complete a version/config-hash
+handshake, and are leased work one unit at a time — gateway cells, or
+the points of a sweep.  The agents are forked from the coordinator and
+connect over loopback for local runs, or dial in from other hosts.
+Workers simulate each cell locally, then stream the cell's result
+artifact back as length-prefixed JSON frames; the coordinator spills
+those frames straight to per-cell files on disk and merges them lazily
+at finalize, so its peak memory never scales with the total packet-log
+volume.
 
-Results are placement-invariant by construction: local pipes and remote
-workers write byte-identical per-cell artifacts through one shared codec
+Results are placement-invariant by construction: every agent writes
+byte-identical per-cell artifacts through one shared codec
 (:mod:`repro.dist.artifact`), and one merge path consumes them.  See
 docs/DISTRIBUTED.md for the wire protocol and failure semantics.
 """

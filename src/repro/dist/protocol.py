@@ -14,18 +14,24 @@ Frames the coordinator and worker exchange::
     coordinator → worker   welcome    accepted handshake
     coordinator → worker   reject     refused handshake (version or
                                       config-hash mismatch) + reason
-    coordinator → worker   lease      one cell: id, round, config hash,
-                                      base64-pickled task payload
+    coordinator → worker   lease      one cell or sweep point: id,
+                                      attempt, config hash, base64-pickled
+                                      payload naming the function to run
+    coordinator → worker   revoke     stop a lease (deadline, stale
+                                      worker, or the coordinator's stop)
     worker → coordinator   heartbeat  liveness beacon (~2 s cadence)
-    worker → coordinator   cell_chunk artifact lines of an in-flight cell
-    worker → coordinator   cell_done  terminal cell status + intents
+    worker → coordinator   chunk      artifact lines of an in-flight cell
+    worker → coordinator   done       terminal lease status
+                                      (ok | failed | revoked), error,
+                                      rescue checkpoint, result blob
     coordinator → worker   shutdown   run over; the agent exits 0
 
-Cell payloads (placements, foreign statics, the frozen config) travel as
-a base64 ``pickle`` blob *inside* a JSON frame — the same trust model as
-the local ``multiprocessing`` pipes the dist plane replaces.  Artifact
-rows are pure JSON so the coordinator can spill them to disk verbatim
-without unpickling anything.
+Lease payloads (placements, foreign statics, the frozen config, sweep
+points) and results travel as base64 ``pickle`` blobs *inside* JSON
+frames — the trust model of ``multiprocessing``, whose forked agents
+run every local parallel job.  Artifact rows are pure JSON so the
+coordinator can spill them to disk verbatim without unpickling
+anything.
 """
 
 from __future__ import annotations
@@ -41,14 +47,15 @@ from typing import Dict, List, Optional
 from ..exceptions import DistProtocolError
 
 #: Wire protocol version; bump on breaking frame-layout changes.
-PROTOCOL_VERSION = 1
+#: v2: generic ``chunk``/``done`` frames, ``revoke``, result blobs.
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload size.  Big enough for a pickled
 #: 50k-node cell lease; small enough that a corrupt or hostile length
 #: prefix cannot make a peer allocate unbounded memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Senders keep artifact ``cell_chunk`` frames under this many payload
+#: Senders keep artifact ``chunk`` frames under this many payload
 #: bytes (soft bound, checked before adding each line).
 CHUNK_BYTES = 1 * 1024 * 1024
 

@@ -13,7 +13,7 @@ Semantics
 ---------
 * A cell is one contention domain: its window resolutions draw from a
   per-cell RNG seeded by ``(config.seed, cell index)`` — a pure function
-  of the topology, never of how cells were packed into processes.
+  of the topology, never of where or next to which cells it ran.
   Delivery keeps full multi-gateway reception diversity (every node
   retains its RSSI at every gateway).
 * Cross-cell interference at cell edges is restored by a two-round
@@ -33,20 +33,21 @@ Semantics
   ``shards=gateway_count`` produce identical metrics, monthly series,
   linear rates and packet logs.
 
-Execution flows through a **transport seam**: :class:`LocalTransport`
-packs cells into local worker processes via the
-:mod:`repro.sweep.executor` scheduler (crash/timeout retries included),
-while :class:`repro.dist.DistTransport` leases the same cells to remote
-``repro worker`` agents over TCP.  Either way, every simulated cell is
-serialized to a per-cell JSONL artifact (:mod:`repro.dist.artifact`) in
-a spill directory, and the coordinator merges those artifacts **lazily**
-at finalize — one cell in memory at a time — so coordinator RSS never
-scales with the total packet-log volume, and merged results are
-placement-invariant by construction.
+Execution flows through a **transport seam**: every round's cells are
+leased, one cell per lease, by :class:`repro.dist.DistScheduler` —
+:class:`LocalTransport` to ``repro worker`` agents it forks on this
+host, :class:`repro.dist.DistTransport` to remote agents over TCP.
+Either way, every simulated cell is serialized to a per-cell JSONL
+artifact (:mod:`repro.dist.artifact`) in a spill directory, and the
+coordinator merges those artifacts **lazily** at finalize — one cell in
+memory at a time — so coordinator RSS never scales with the total
+packet-log volume, and merged results are placement-invariant by
+construction.  ``config.shards`` switches sharding on (and is checked
+against the gateway count); it does not group cells into processes.
 
 Cells checkpoint into ``<checkpoint_dir>/round<r>/cell_<c>`` (a pure
-function of the topology, not of worker packing) and self-resume from
-the newest snapshot after a crash.
+function of the topology, not of placement) and self-resume from the
+newest snapshot after a crash.
 """
 
 from __future__ import annotations
@@ -56,24 +57,14 @@ import os
 import random
 import shutil
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..checkpoint.core import latest_checkpoint, resume as _resume_checkpoint
-from ..dist.artifact import (
-    CellArtifact,
-    artifact_complete,
-    load_cell_artifact,
-    write_cell_artifact,
-)
-from ..exceptions import (
-    ConfigurationError,
-    SimulationError,
-    SimulationInterrupted,
-)
+from ..dist.artifact import CellArtifact, load_cell_artifact, write_cell_artifact
+from ..exceptions import ConfigurationError
 from ..lora import LogDistanceLink, airtime_table
 from ..obs import MetricsRegistry, Observability, RunManifest, config_hash
 from .config import SimulationConfig
@@ -86,7 +77,7 @@ from .mesoscopic import (
 )
 from .metrics import NetworkMetrics, NodeMetrics
 from .packetlog import PacketLog
-from .topology import NodePlacement, build_topology, partition_cells, pack_cells
+from .topology import NodePlacement, build_topology, partition_cells
 
 #: Per receiving cell, only this many strongest foreign nodes (by RSSI
 #: at the cell's gateway) are exchanged as border interferers.  Keeps
@@ -166,26 +157,7 @@ class ForeignStatics:
         return statics
 
 
-# -------------------------------------------------------------- shard jobs
-
-
-@dataclass
-class ShardJob:
-    """One worker process's slice of the topology for one round."""
-
-    index: int
-    round_no: int
-    cells: List[int]
-    placements_by_cell: Dict[int, List[NodePlacement]]
-    export_by_cell: Dict[int, Optional[frozenset]]
-    foreign_by_cell: Dict[int, Optional[ForeignStatics]]
-    config: SimulationConfig
-    #: Where each cell's result artifact must land (JSONL; see
-    #: :mod:`repro.dist.artifact`).
-    spill_by_cell: Dict[int, str] = field(default_factory=dict)
-    #: Per-cell checkpoint directory (``<ckpt>/round<r>/cell_<c>``); a
-    #: pure function of the topology so resume never depends on packing.
-    ckpt_by_cell: Dict[int, Optional[str]] = field(default_factory=dict)
+# ------------------------------------------------------------------ cells
 
 
 @dataclass
@@ -218,32 +190,6 @@ def outcome_from_artifact(artifact: CellArtifact) -> CellOutcome:
     )
 
 
-@dataclass
-class ShardRecord:
-    """Scheduler-facing outcome of one shard attempt."""
-
-    index: int
-    status: str  # "completed" | "resumed" | "failed" | "timeout"
-    cells: List[CellOutcome] = field(default_factory=list)
-    error: Optional[str] = None
-    attempts: int = 1
-    wall_s: float = 0.0
-    peak_rss_kb: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("completed", "resumed")
-
-
-def _shard_failure(
-    job: ShardJob, engine: str, status: str, attempts: int, error: str
-) -> ShardRecord:
-    """Record for a shard whose every attempt crashed or timed out."""
-    return ShardRecord(
-        index=job.index, status=status, attempts=attempts, error=error
-    )
-
-
 def _cell_config(
     config: SimulationConfig, cell_dir: Optional[str]
 ) -> SimulationConfig:
@@ -262,7 +208,7 @@ def simulate_cell(
     foreign: Optional[ForeignStatics],
     ckpt_dir: Optional[str],
     round_no: int,
-) -> Tuple[CellArtifact, CellOutcome]:
+) -> CellArtifact:
     """Simulate one cell (resuming from its newest snapshot if any)."""
     if ckpt_dir is not None:
         os.makedirs(ckpt_dir, exist_ok=True)
@@ -302,91 +248,27 @@ def simulate_cell(
         artifact.intent_offsets = np.array(
             [i[2] for i in intents], dtype=np.float64
         )
-    return artifact, outcome_from_artifact(artifact)
+    return artifact
 
 
-def _execute_shard(
-    job: ShardJob, run_dir: Optional[str], checkpoint_every_s: Optional[float]
-) -> ShardRecord:
-    """Simulate every cell of one shard job (the worker function).
+def run_cell_lease(payload: Dict, spill_path: str) -> None:
+    """Simulate one leased cell and write its artifact to ``spill_path``.
 
-    Cells run sequentially so worker memory is bounded by one cell.
-    Each cell checkpoints into its own topology-keyed directory and
-    self-resumes from the newest snapshot; a cell whose spilled artifact
-    is already complete (an earlier attempt finished it before the
-    worker died) is skipped entirely — its outcome is re-read from the
-    artifact — so a retried shard replays only the cell it died in.
+    The function a cell lease names (see
+    :class:`repro.dist.coordinator.CellWork`); it runs in an agent's
+    lease subprocess, one cell per process, so worker memory is bounded
+    by one cell.
     """
-    record = ShardRecord(index=job.index, status="completed")
-    started = time.perf_counter()
-    for cell in job.cells:
-        spill_path = job.spill_by_cell[cell]
-        if artifact_complete(spill_path):
-            record.cells.append(
-                outcome_from_artifact(load_cell_artifact(spill_path, skim=True))
-            )
-            continue
-        artifact, outcome = simulate_cell(
-            job.config,
-            cell,
-            job.placements_by_cell[cell],
-            job.export_by_cell.get(cell),
-            job.foreign_by_cell.get(cell),
-            job.ckpt_by_cell.get(cell),
-            job.round_no,
-        )
-        write_cell_artifact(spill_path, artifact)
-        record.cells.append(outcome)
-    record.wall_s = time.perf_counter() - started
-    try:
-        import resource
-
-        record.peak_rss_kb = int(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        )
-    except (ImportError, OSError):  # pragma: no cover - non-POSIX hosts
-        record.peak_rss_kb = None
-    return record
-
-
-def _shard_worker_main(
-    conn,
-    job: ShardJob,
-    engine: str,
-    run_dir: Optional[str],
-    checkpoint_every_s: Optional[float],
-    resume_from: Optional[str],
-    crash_after_saves: Optional[int],
-    trace_dir: Optional[str] = None,
-) -> None:
-    """Entry point of one shard worker process.
-
-    Same contract as ``repro.sweep.executor._worker_main``: install the
-    graceful-stop handlers, optionally arm the deterministic crash
-    hook, ship the record (or the interrupt) back over the pipe.
-    ``resume_from`` is ignored — shards self-resume per cell from the
-    newest snapshot in their topology-keyed checkpoint directory.
-    """
-    from ..checkpoint import core as _ckpt_core
-    from ..checkpoint import interrupt as _interrupt
-
-    _interrupt.install()
-    if crash_after_saves is not None:
-        saves = {"n": 0}
-
-        def _crash_hook(path: str, time_s: float) -> None:
-            saves["n"] += 1
-            if saves["n"] >= crash_after_saves:
-                os.kill(os.getpid(), 9)  # SIGKILL: a real crash, no cleanup
-
-        _ckpt_core._post_save_hook = _crash_hook
-    try:
-        record = _execute_shard(job, run_dir, checkpoint_every_s)
-        conn.send(("record", record))
-    except SimulationInterrupted as exc:
-        conn.send(("interrupted", exc.checkpoint_path))
-    finally:
-        conn.close()
+    artifact = simulate_cell(
+        payload["config"],
+        payload["cell"],
+        payload["placements"],
+        payload["export"],
+        payload["foreign"],
+        payload["ckpt_dir"],
+        payload["round"],
+    )
+    write_cell_artifact(spill_path, artifact)
 
 
 # ------------------------------------------------------------- border sets
@@ -494,15 +376,18 @@ class RoundRequest:
     foreign_by_cell: Dict[int, Optional[ForeignStatics]]
     spill_by_cell: Dict[int, str]
     ckpt_by_cell: Dict[int, Optional[str]]
-    shard_count: int
     registry: MetricsRegistry
 
 
 class LocalTransport:
-    """Run rounds in local worker processes over multiprocessing pipes.
+    """Run rounds on forked local ``repro worker`` agents.
 
-    Reuses the :mod:`repro.sweep.executor` scheduler for its process
-    pool, crash/timeout retries and graceful-interrupt plumbing.
+    The first round forks ``workers`` one-slot agents
+    (:class:`repro.dist.coordinator.LocalAgents`, capped at the round's
+    cell count); they serve every round of the run until :meth:`close`.
+    Each round's cells are leased to them by the same
+    :class:`~repro.dist.coordinator.DistScheduler` that leases cells to
+    remote agents, crash retries included.
     """
 
     def __init__(
@@ -516,77 +401,26 @@ class LocalTransport:
         self.workers = workers
         self.max_retries = max_retries
         self.crash_spec = crash_spec
+        self._agents = None
 
     def run_round(self, request: RoundRequest) -> Dict[int, CellOutcome]:
-        from ..checkpoint.interrupt import last_signal
-        from ..sweep.executor import _Scheduler
+        from ..dist.coordinator import DistTransport, LocalAgents
 
-        jobs: List[ShardJob] = []
-        packed = pack_cells(
-            request.cell_ids,
-            min(request.shard_count, len(request.cell_ids)),
-        )
-        for index, group in enumerate(packed):
-            jobs.append(
-                ShardJob(
-                    index=index,
-                    round_no=request.round_no,
-                    cells=group,
-                    placements_by_cell={
-                        c: request.placements_by_cell[c] for c in group
-                    },
-                    export_by_cell={
-                        c: request.export_by_cell.get(c) for c in group
-                    },
-                    foreign_by_cell={
-                        c: request.foreign_by_cell.get(c) for c in group
-                    },
-                    config=request.config,
-                    spill_by_cell={
-                        c: request.spill_by_cell[c] for c in group
-                    },
-                    ckpt_by_cell={
-                        c: request.ckpt_by_cell.get(c) for c in group
-                    },
-                )
+        if self._agents is None:
+            self._agents = LocalAgents(
+                min(self.workers, max(1, len(request.cell_ids)))
             )
-        # Largest shard first (ties by cell index): the longest job
-        # starts earliest, shortening the round's makespan.  Only the
-        # submission order changes, never the packing or the results.
-        jobs.sort(
-            key=lambda job: (
-                -sum(len(p) for p in job.placements_by_cell.values()),
-                job.cells[0],
-            )
-        )
-        scheduler = _Scheduler(
-            engine="meso",
-            workers=self.workers,
-            registry=request.registry,
-            timeout_s=None,
+        return DistTransport(
+            self._agents.server,
             max_retries=self.max_retries,
-            checkpoint_dir=None,
-            checkpoint_every_s=request.config.checkpoint_every_s,
             crash_spec=self.crash_spec,
-            worker_main=_shard_worker_main,
-            failure_factory=_shard_failure,
-        )
-        records, interrupted = scheduler.run(jobs)
-        if interrupted:
-            raise SimulationInterrupted(
-                "sharded mesoscopic run stopped by signal",
-                signum=last_signal(),
-            )
-        outcomes: Dict[int, CellOutcome] = {}
-        for record in records.values():
-            if not record.ok:
-                raise SimulationError(
-                    f"shard {record.index} {record.status} after "
-                    f"{record.attempts} attempt(s): {record.error}"
-                )
-            for outcome in record.cells:
-                outcomes[outcome.cell_index] = outcome
-        return outcomes
+        ).run_round(request)
+
+    def close(self) -> None:
+        """Shut the agents down (a no-op before the first round)."""
+        if self._agents is not None:
+            self._agents.close()
+            self._agents = None
 
 
 # -------------------------------------------------------------- coordinator
@@ -677,16 +511,16 @@ def run_sharded(
 ) -> MesoscopicResult:
     """Run ``config`` sharded by gateway cell; merge into one result.
 
-    ``workers`` bounds concurrent shard processes (1 = strict memory
-    isolation: coordinator + one cell at a time).  Shard crashes and
-    timeouts retry up to ``max_retries`` times, resuming from per-cell
-    checkpoints when checkpointing is configured.
+    ``workers`` bounds concurrent cell processes (1 = strict memory
+    isolation: coordinator + one cell at a time).  Crashed cells retry
+    up to ``max_retries`` times, resuming from per-cell checkpoints when
+    checkpointing is configured.
 
     ``transport`` selects how cells execute: None builds a
     :class:`LocalTransport` from ``workers``/``max_retries``/
-    ``crash_spec``; a :class:`repro.dist.DistTransport` leases cells to
-    remote ``repro worker`` agents instead.  Results are identical
-    either way.  ``spill_dir`` hosts the per-cell artifacts (a private
+    ``crash_spec`` (its agents live for this call); a
+    :class:`repro.dist.DistTransport` leases cells to remote
+    ``repro worker`` agents instead.  Results are identical either way.  ``spill_dir`` hosts the per-cell artifacts (a private
     temp directory, deleted afterwards, when None).
     """
     if config.shards is None:
@@ -697,7 +531,8 @@ def run_sharded(
             "sharded execution does not support event tracing; run with "
             "shards=None (or trace off) instead"
         )
-    if transport is None:
+    owns_transport = transport is None
+    if owns_transport:
         transport = LocalTransport(
             workers=workers, max_retries=max_retries, crash_spec=crash_spec
         )
@@ -711,7 +546,6 @@ def run_sharded(
         selected_by_cell, export_by_cell, profiles = _border_maps(
             config, placements, cells, link
         )
-        shard_count = min(config.shards, len(cells))
 
     owns_spill = spill_dir is None
     spill_root = (
@@ -742,7 +576,6 @@ def run_sharded(
             ckpt_by_cell={
                 c: _ckpt_path(base_dir, round_no, c) for c in cell_subset
             },
-            shard_count=shard_count,
             registry=obs.metrics,
         )
 
@@ -823,6 +656,8 @@ def run_sharded(
             ).set(merge_peak_rows)
             monthly = _merge_monthly(monthly_parts)
     finally:
+        if owns_transport:
+            transport.close()
         if owns_spill:
             shutil.rmtree(spill_root, ignore_errors=True)
 

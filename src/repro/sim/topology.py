@@ -118,21 +118,6 @@ def partition_cells(
     return {index: cells[index] for index in sorted(cells)}
 
 
-def pack_cells(cell_indices: Sequence[int], shards: int) -> List[List[int]]:
-    """Pack cell indices into ``shards`` round-robin groups.
-
-    Packing only decides which worker process simulates which cells —
-    cell results are independent of it — so any shard count from 1 to
-    the cell count produces identical simulation output.
-    """
-    if shards < 1:
-        raise ConfigurationError("shards must be >= 1")
-    groups: List[List[int]] = [[] for _ in range(min(shards, len(cell_indices)))]
-    for position, cell_index in enumerate(sorted(cell_indices)):
-        groups[position % len(groups)].append(cell_index)
-    return groups
-
-
 def build_topology(
     config: SimulationConfig, link: Optional[LogDistanceLink] = None
 ) -> List[NodePlacement]:

@@ -1,10 +1,10 @@
 """Parallel multi-seed / multi-variant sweep executor.
 
-Expands a (config-variant × seed) grid (:mod:`repro.sweep.grid`), fans
-it across multiprocessing workers, and merges per-run records into one
-``SWEEP.json`` deterministically — ordered by grid index, bit-identical
+Expands a (config-variant × seed) grid (:mod:`repro.sweep.grid`),
+leases it to forked local ``repro worker`` agents, and merges per-run
+records into one ``SWEEP.json`` deterministically — ordered by grid index, bit-identical
 for any worker count (:mod:`repro.sweep.executor`).  Execution is
-self-healing: crashed or stuck workers are retried from their newest
+self-healing: crashed or stuck runs are retried from their newest
 checkpoint and ``repro sweep --resume`` re-runs only unfinished cells.
 Driven by the ``repro sweep`` CLI subcommand; determinism contract in
 docs/PERFORMANCE.md, recovery semantics in docs/ROBUSTNESS.md.
@@ -16,7 +16,6 @@ from .executor import (
     CrashSpec,
     RunRecord,
     SweepResult,
-    SweepWorkerError,
     execute_point,
     interrupt_exit_code,
     run_sweep,
@@ -40,7 +39,6 @@ __all__ = [
     "RunRecord",
     "SweepPoint",
     "SweepResult",
-    "SweepWorkerError",
     "build_grid",
     "execute_point",
     "expand_axes",

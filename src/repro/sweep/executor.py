@@ -1,8 +1,10 @@
 """Self-healing parallel sweep execution with a deterministic merge.
 
-``run_sweep`` fans the grid across ``multiprocessing`` workers (one
-process per in-flight run) or runs it serially.  Determinism contract
-(see docs/PERFORMANCE.md):
+``run_sweep`` runs the grid serially in-process, or leases its points
+to forked local ``repro worker`` agents through the one scheduler,
+:class:`repro.dist.DistScheduler` — one agent per worker slot, one
+subprocess per in-flight run.  Determinism contract (see
+docs/PERFORMANCE.md):
 
 * every :class:`~repro.sweep.grid.SweepPoint` carries a complete,
   self-seeded config — workers share no RNG or mutable state;
@@ -12,19 +14,21 @@ process per in-flight run) or runs it serially.  Determinism contract
 
 Robustness contract (see docs/ROBUSTNESS.md):
 
-* a worker *process* dying (segfault, OOM kill, SIGKILL) is detected
-  through its result pipe closing without a record; the run is retried
-  — resuming from its newest checkpoint when per-run checkpointing is
-  on — up to ``max_retries`` times before it is recorded as
-  ``status="failed"``;
-* a per-run wall-clock ``timeout_s`` kills stuck workers the same way
-  (final status ``"timeout"`` once retries are exhausted);
+* a run's subprocess dying (segfault, OOM kill, SIGKILL) is a failed
+  attempt its agent reports; the run is retried — resuming from its
+  newest checkpoint when per-run checkpointing is on — up to
+  ``max_retries`` times before it is recorded as ``status="failed"``;
+* a per-run wall-clock ``timeout_s`` revokes a stuck run: its
+  subprocess is SIGTERMed (it writes a rescue checkpoint, the next
+  attempt resumes from it), then SIGKILLed after a grace; the final
+  status is ``"timeout"`` once retries are exhausted;
 * a run that completes after one or more retries is recorded as
   ``status="resumed"`` with its total ``attempts`` count;
-* SIGINT/SIGTERM on the parent stops scheduling, terminates workers
-  gracefully (they write rescue checkpoints) and salvages every record
-  already merged; the report carries ``interrupted: true`` and omits
-  unfinished cells, so ``repro sweep --resume`` re-runs exactly those.
+* SIGINT/SIGTERM on the parent stops scheduling, revokes every run
+  (they write rescue checkpoints) and salvages every record already
+  merged or finished within the grace; the report carries
+  ``interrupted: true`` and omits unfinished cells, so
+  ``repro sweep --resume`` re-runs exactly those.
 
 Consequently ``run_sweep(spec, workers=N)`` produces records
 bit-identical to ``workers=1`` for every N — only the timing fields
@@ -33,18 +37,22 @@ bit-identical to ``workers=1`` for every N — only the timing fields
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkpoint.core import latest_checkpoint
 from ..checkpoint.interrupt import last_signal, stop_requested
-from ..exceptions import ConfigurationError, SimulationError, SimulationInterrupted
+from ..dist.coordinator import (
+    DistScheduler,
+    LeaseTask,
+    LeaseWork,
+    LocalAgents,
+)
+from ..dist.protocol import unpack_blob
+from ..exceptions import ConfigurationError, SimulationInterrupted
 from ..ioutil import atomic_write_json
 from ..obs import MetricsRegistry, config_hash
 from .grid import SweepPoint
@@ -58,28 +66,15 @@ SCHEMA = "repro.sweep/2"
 #: Final statuses a run record can carry.
 STATUSES = ("completed", "resumed", "failed", "timeout")
 
-#: How long (seconds) a terminated worker gets to write its rescue
-#: checkpoint and report back before it is killed outright.
-_GRACE_S = 10.0
-
-
-class SweepWorkerError(SimulationError):
-    """A worker process died without returning its runs' results.
-
-    Kept for API compatibility: since schema v2 worker crashes are
-    retried and recorded per-run instead of aborting the sweep, so this
-    is no longer raised by :func:`run_sweep`.
-    """
-
-
 @dataclass
 class CrashSpec:
     """Deterministic worker-crash injection (tests / CI smoke only).
 
-    The worker running grid cell ``index`` SIGKILLs itself right after
-    writing its ``after_checkpoints``-th checkpoint, on each of its
-    first ``attempts`` attempts — exercising crash detection and
-    resume-from-checkpoint retry without OS-level fault injection.
+    The lease subprocess running grid point (or gateway cell) ``index``
+    SIGKILLs itself right after writing its ``after_checkpoints``-th
+    checkpoint, on each of its first ``attempts`` attempts — exercising
+    crash detection and resume-from-checkpoint retry without OS-level
+    fault injection.
     """
 
     index: int
@@ -299,78 +294,19 @@ def execute_point(
     return record
 
 
-# ------------------------------------------------------------ worker side
+# ----------------------------------------------------------- point leases
 
 
-def _worker_main(
-    conn,
-    point: SweepPoint,
-    engine: str,
-    run_dir: Optional[str],
-    checkpoint_every_s: Optional[float],
-    resume_from: Optional[str],
-    crash_after_saves: Optional[int],
-    trace_dir: Optional[str] = None,
-) -> None:
-    """Entry point of one sweep worker process.
-
-    Installs the graceful-stop signal handlers (so a parent SIGTERM
-    yields a rescue checkpoint plus an ``("interrupted", path)``
-    message instead of a lost run), optionally arms the deterministic
-    crash hook, executes the point and ships the record back over the
-    pipe.  The pipe closing without a record *is* the crash signal the
-    parent watches for.
-    """
-    from ..checkpoint import core as _ckpt_core
-    from ..checkpoint import interrupt as _interrupt
-
-    _interrupt.install()
-    if crash_after_saves is not None:
-        saves = {"n": 0}
-
-        def _crash_hook(path: str, time_s: float) -> None:
-            saves["n"] += 1
-            if saves["n"] >= crash_after_saves:
-                os.kill(os.getpid(), 9)  # SIGKILL: a real crash, no cleanup
-
-        _ckpt_core._post_save_hook = _crash_hook
-    try:
-        record = execute_point(
-            point,
-            engine,
-            checkpoint_dir=run_dir,
-            checkpoint_every_s=checkpoint_every_s,
-            resume_from=resume_from,
-            trace_dir=trace_dir,
-        )
-        conn.send(("record", record))
-    except SimulationInterrupted as exc:
-        conn.send(("interrupted", exc.checkpoint_path))
-    finally:
-        conn.close()
-
-
-# ------------------------------------------------------------ parent side
-
-
-@dataclass
-class _Job:
-    """One attempt of one grid cell, waiting for a worker slot."""
-
-    point: SweepPoint
-    attempt: int = 1
-    resume_from: Optional[str] = None
-
-
-@dataclass
-class _Active:
-    """A worker process currently executing one attempt."""
-
-    job: _Job
-    process: object
-    conn: object
-    run_dir: Optional[str]
-    deadline: Optional[float]
+def run_point_lease(payload: Dict, spill_path: str) -> RunRecord:
+    """Run one leased grid point (in an agent's lease subprocess)."""
+    return execute_point(
+        payload["point"],
+        payload["engine"],
+        checkpoint_dir=payload["run_dir"],
+        checkpoint_every_s=payload["checkpoint_every_s"],
+        resume_from=payload["resume_from"],
+        trace_dir=payload["trace_dir"],
+    )
 
 
 def _failure_record(
@@ -390,272 +326,93 @@ def _failure_record(
     )
 
 
-class _Scheduler:
-    """Crash/timeout-aware worker pool for one sweep.
+class PointWork(LeaseWork):
+    """Sweep points as leases; a finished lease carries its RunRecord.
 
-    Keeps at most ``workers`` processes alive, watches their result
-    pipes and per-run deadlines, retries crashed or stuck runs (from
-    their newest checkpoint when available) and merges records by grid
-    index.  All state is parent-process local.
+    Records merge by grid index into :attr:`records`; a point whose
+    every attempt failed or timed out merges a ``failed``/``timeout``
+    record instead.  Retries resume from the attempt's rescue checkpoint
+    or, failing that, the newest one in the point's run directory.
     """
 
     def __init__(
         self,
+        points: Sequence[SweepPoint],
         engine: str,
-        workers: int,
         registry: MetricsRegistry,
-        timeout_s: Optional[float],
-        max_retries: int,
-        checkpoint_dir: Optional[str],
-        checkpoint_every_s: Optional[float],
-        crash_spec: Optional[CrashSpec],
-        on_record: Optional[Callable[[RunRecord], None]] = None,
+        checkpoint_dir: Optional[str] = None,
+        checkpoint_every_s: Optional[float] = None,
         trace_dir: Optional[str] = None,
-        worker_main: Optional[Callable] = None,
-        failure_factory: Optional[Callable] = None,
+        on_record: Optional[Callable[[RunRecord], None]] = None,
     ) -> None:
-        # The scheduler is generic over the work it runs: ``worker_main``
-        # is the child-process entry point (same argument layout as
-        # ``_worker_main``) and ``failure_factory`` builds the record
-        # for a job whose every attempt crashed or timed out.  The
-        # sharded mesoscopic coordinator reuses the pool with shard
-        # jobs; plain sweeps use the defaults.
-        self.worker_main = worker_main if worker_main is not None else _worker_main
-        self.failure_factory = (
-            failure_factory if failure_factory is not None else _failure_record
-        )
+        self.points = {point.index: point for point in points}
         self.engine = engine
-        self.workers = workers
         self.registry = registry
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every_s = checkpoint_every_s
-        self.crash_spec = crash_spec
-        self.on_record = on_record
         self.trace_dir = trace_dir
-        self.context = multiprocessing.get_context()
-        self.jobs: deque = deque()
-        self.active: Dict[object, _Active] = {}
+        self.on_record = on_record
         self.records: Dict[int, RunRecord] = {}
-        self.interrupted = False
 
-    # -- lifecycle ------------------------------------------------------
+    def _run_dir(self, index: int) -> Optional[str]:
+        if self.checkpoint_dir is None:
+            return None
+        return os.path.join(self.checkpoint_dir, f"run_{index:04d}")
 
-    def _merge(self, index: int, record: RunRecord) -> None:
-        """Record one cell's outcome and notify the progress callback."""
-        self.records[index] = record
+    def _merge(self, record: RunRecord) -> None:
+        self.records[record.index] = record
         if self.on_record is not None:
             self.on_record(record)
 
-    def run(self, points: Sequence[SweepPoint]) -> Tuple[Dict[int, RunRecord], bool]:
-        self.jobs.extend(_Job(point) for point in points)
-        try:
-            while self.jobs or self.active:
-                if stop_requested():
-                    self.interrupted = True
-                    self._shutdown()
-                    break
-                self._fill_slots()
-                self._pump()
-        finally:
-            if self.active:  # unexpected exit: never leak children
-                self._shutdown()
-        return self.records, self.interrupted
+    def start(self) -> List[LeaseTask]:
+        return [LeaseTask(index) for index in self.points]
 
-    def _fill_slots(self) -> None:
-        while self.jobs and len(self.active) < self.workers:
-            job = self.jobs.popleft()
-            run_dir = None
-            if self.checkpoint_dir is not None:
-                run_dir = os.path.join(
-                    self.checkpoint_dir, f"run_{job.point.index:04d}"
-                )
-                os.makedirs(run_dir, exist_ok=True)
-            crash_after = None
-            if (
-                self.crash_spec is not None
-                and job.point.index == self.crash_spec.index
-                and job.attempt <= self.crash_spec.attempts
-            ):
-                crash_after = self.crash_spec.after_checkpoints
-            parent_conn, child_conn = self.context.Pipe(duplex=False)
-            process = self.context.Process(
-                target=self.worker_main,
-                args=(
-                    child_conn,
-                    job.point,
-                    self.engine,
-                    run_dir,
-                    self.checkpoint_every_s,
-                    job.resume_from,
-                    crash_after,
-                    self.trace_dir,
-                ),
-            )
-            process.start()
-            child_conn.close()
-            deadline = (
-                time.monotonic() + self.timeout_s
-                if self.timeout_s is not None
-                else None
-            )
-            self.active[parent_conn] = _Active(
-                job=job,
-                process=process,
-                conn=parent_conn,
-                run_dir=run_dir,
-                deadline=deadline,
-            )
+    def describe(self, key: int) -> Tuple[str, Dict]:
+        return f"p{key}", {
+            "index": key,
+            "config_hash": config_hash(self.points[key].config),
+        }
 
-    def _pump(self) -> None:
-        """One wait-and-dispatch round over the active pipes."""
-        if not self.active:
-            return
-        now = time.monotonic()
-        deadlines = [
-            entry.deadline
-            for entry in self.active.values()
-            if entry.deadline is not None
-        ]
-        # Cap the wait so parent-side stop requests stay responsive.
-        wait_s = 0.25
-        if deadlines:
-            wait_s = min(wait_s, max(0.0, min(deadlines) - now))
-        ready = _connection_wait(list(self.active), timeout=wait_s)
-        for conn in ready:
-            entry = self.active.pop(conn)
-            self._finish(entry, self._receive(conn))
-        now = time.monotonic()
-        for conn, entry in list(self.active.items()):
-            if entry.deadline is not None and now >= entry.deadline:
-                del self.active[conn]
-                self._reap_timeout(entry)
+    def payload(self, task: LeaseTask) -> Dict:
+        run_dir = self._run_dir(task.key)
+        if run_dir is not None:
+            os.makedirs(run_dir, exist_ok=True)
+        return {
+            "run": run_point_lease,
+            "point": self.points[task.key],
+            "engine": self.engine,
+            "run_dir": run_dir,
+            "checkpoint_every_s": self.checkpoint_every_s,
+            "resume_from": task.checkpoint,
+            "trace_dir": self.trace_dir,
+        }
 
-    @staticmethod
-    def _receive(conn) -> Optional[Tuple[str, object]]:
-        """Read one worker message; None means the process crashed."""
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            message = None
-        conn.close()
-        return message
-
-    def _finish(self, entry: _Active, message: Optional[Tuple[str, object]]) -> None:
-        """Handle a worker that reported (or died) on its own."""
-        entry.process.join()
-        if message is not None and message[0] == "record":
-            record = message[1]
-            record.attempts = entry.job.attempt
-            if record.status == "completed" and entry.job.attempt > 1:
-                record.status = "resumed"
-            self._merge(entry.job.point.index, record)
-            return
-        if message is not None and message[0] == "interrupted":
-            # A graceful stop we did not ask for: the worker saw its own
-            # SIGTERM (e.g. an external supervisor).  Treat as a crash so
-            # the retry budget decides, resuming from its rescue snapshot.
-            self._retry_or_fail(
-                entry,
-                status="failed",
-                error="worker was terminated mid-run",
-                preferred_checkpoint=message[1],
-            )
-            return
-        exit_code = entry.process.exitcode
-        self._retry_or_fail(
-            entry,
-            status="failed",
-            error=(
-                "worker process died without returning a record "
-                f"(exit code {exit_code})"
-            ),
-        )
-
-    def _reap_timeout(self, entry: _Active) -> None:
-        """Kill a worker past its deadline, then retry or record it."""
-        entry.process.terminate()  # SIGTERM: graceful rescue checkpoint
-        grace_end = time.monotonic() + _GRACE_S
-        message: Optional[Tuple[str, object]] = None
-        while time.monotonic() < grace_end:
-            if entry.conn.poll(0.1):
-                message = self._receive(entry.conn)
-                break
-            if not entry.process.is_alive():
-                message = self._receive(entry.conn)
-                break
-        else:
-            entry.process.kill()
-            message = self._receive(entry.conn)
-        entry.process.join()
-        preferred = None
-        if message is not None and message[0] == "interrupted":
-            preferred = message[1]
-        elif message is not None and message[0] == "record":
-            # Finished in the closing window: a timeout race the run won.
-            self._finish_record_after_race(entry, message[1])
-            return
-        self._retry_or_fail(
-            entry,
-            status="timeout",
-            error=f"run exceeded its {self.timeout_s:g}s timeout",
-            preferred_checkpoint=preferred,
-        )
-
-    def _finish_record_after_race(self, entry: _Active, record: RunRecord) -> None:
-        record.attempts = entry.job.attempt
-        if record.status == "completed" and entry.job.attempt > 1:
+    def complete(self, lease, frame: Dict) -> bool:
+        if "result" not in frame:
+            return False
+        record = unpack_blob(frame["result"])
+        record.attempts = lease.task.attempt
+        if record.status == "completed" and record.attempts > 1:
             record.status = "resumed"
-        self._merge(entry.job.point.index, record)
+        self._merge(record)
+        return True
 
-    def _retry_or_fail(
-        self,
-        entry: _Active,
-        status: str,
-        error: str,
-        preferred_checkpoint: Optional[str] = None,
-    ) -> None:
-        job = entry.job
-        if job.attempt <= self.max_retries:
-            resume_from = preferred_checkpoint
-            if resume_from is None and entry.run_dir is not None:
-                resume_from = latest_checkpoint(entry.run_dir)
-            self.registry.counter(
-                "sweep_retries_total",
-                "Sweep run attempts retried after a crash or timeout",
-            ).inc()
-            self.jobs.append(
-                _Job(
-                    point=job.point,
-                    attempt=job.attempt + 1,
-                    resume_from=resume_from,
-                )
-            )
-            return
+    def retry(self, task: LeaseTask, checkpoint: Optional[str]) -> LeaseTask:
+        run_dir = self._run_dir(task.key)
+        if checkpoint is None and run_dir is not None:
+            checkpoint = latest_checkpoint(run_dir)
+        self.registry.counter(
+            "sweep_retries_total",
+            "Sweep run attempts retried after a crash or timeout",
+        ).inc()
+        return LeaseTask(task.key, task.attempt + 1, checkpoint)
+
+    def give_up(self, task: LeaseTask, status: str, error: str) -> None:
         self._merge(
-            job.point.index,
-            self.failure_factory(
-                job.point, self.engine, status, job.attempt, error
-            ),
+            _failure_record(
+                self.points[task.key], self.engine, status, task.attempt, error
+            )
         )
-
-    def _shutdown(self) -> None:
-        """Terminate every worker, salvaging records already in flight."""
-        for entry in self.active.values():
-            entry.process.terminate()
-        grace_end = time.monotonic() + _GRACE_S
-        for conn, entry in list(self.active.items()):
-            remaining = max(0.0, grace_end - time.monotonic())
-            if entry.conn.poll(remaining):
-                message = self._receive(entry.conn)
-                if message is not None and message[0] == "record":
-                    self._finish_record_after_race(entry, message[1])
-            else:
-                entry.process.kill()
-                entry.conn.close()
-            entry.process.join()
-        self.active.clear()
 
 
 def run_sweep(
@@ -720,7 +477,7 @@ def run_sweep(
     todo = [point for point in points if point.index not in by_index]
     interrupted = False
 
-    supervised = transport is None and (
+    supervised = transport is None and bool(todo) and (
         timeout_s is not None
         or crash_spec is not None
         or (workers > 1 and len(todo) > 1)
@@ -752,20 +509,27 @@ def run_sweep(
             if on_record is not None:
                 on_record(record)
     else:
-        scheduler = _Scheduler(
-            engine=engine,
-            workers=workers,
-            registry=registry,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
+        work = PointWork(
+            todo,
+            engine,
+            registry,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every_s=checkpoint_every_s,
-            crash_spec=crash_spec,
-            on_record=on_record,
             trace_dir=trace_dir,
+            on_record=on_record,
         )
-        worker_records, interrupted = scheduler.run(todo)
-        by_index.update(worker_records)
+        agents = LocalAgents(min(workers, len(todo)))
+        try:
+            interrupted = DistScheduler(
+                agents.server,
+                work,
+                timeout_s=timeout_s,
+                max_retries=max_retries,
+                crash_spec=crash_spec,
+            ).run()
+        finally:
+            agents.close()
+        by_index.update(work.records)
 
     records = [
         by_index[index] for index in sorted(by_index) if index in by_index

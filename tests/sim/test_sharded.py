@@ -175,37 +175,41 @@ class TestShardValidation:
 
 
 class TestLocalDispatchOrder:
-    def test_largest_shard_is_submitted_first(self, monkeypatch):
-        # Cells of 3, 5, 5 and 1 nodes: submission is by descending node
-        # count, ties by cell index; the jobs' packing is unchanged.
+    def test_largest_shard_is_submitted_first(self, tmp_path):
+        # Cells of 3, 5, 5 and 1 nodes are leased by descending node
+        # count, ties by cell index, whichever agents run them.
+        from repro.dist.coordinator import CellWork
         from repro.obs import MetricsRegistry
-        from repro.sim.sharded import LocalTransport, RoundRequest
-        from repro.sweep import executor
+        from repro.sim.sharded import RoundRequest
 
-        submitted = []
+        from tests.dist.test_fault_matrix import CellKind, ScriptClient, drive
 
-        class RecordingScheduler:
-            def __init__(self, **kwargs):
-                pass
-
-            def run(self, jobs):
-                submitted.extend((job.index, job.cells) for job in jobs)
-                return {}, False
-
-        monkeypatch.setattr(executor, "_Scheduler", RecordingScheduler)
         sizes = {0: 3, 1: 5, 2: 5, 3: 1}
         cells = sorted(sizes)
-        request = RoundRequest(
-            round_no=1,
-            config=sharded_config(shards=4),
-            cell_ids=cells,
-            placements_by_cell={c: [None] * n for c, n in sizes.items()},
-            export_by_cell={},
-            foreign_by_cell={},
-            spill_by_cell={c: f"cell{c}.jsonl" for c in cells},
-            ckpt_by_cell={},
-            shard_count=4,
-            registry=MetricsRegistry(),
+        work = CellWork(
+            RoundRequest(
+                round_no=1,
+                config=sharded_config(shards=4),
+                cell_ids=cells,
+                placements_by_cell={c: [None] * n for c, n in sizes.items()},
+                export_by_cell={},
+                foreign_by_cell={},
+                spill_by_cell={c: str(tmp_path / f"cell{c}.jsonl") for c in cells},
+                ckpt_by_cell={},
+                registry=MetricsRegistry(),
+            )
         )
-        assert LocalTransport(workers=2).run_round(request) == {}
-        assert submitted == [(1, [1]), (2, [2]), (0, [0]), (3, [3])]
+        leased = []
+
+        def one_slot_worker(server):
+            client = ScriptClient(server, "w", slots=1)
+
+            def on_lease(lease):
+                leased.append(lease["cell"])
+                CellKind.complete(client, lease)
+
+            client.serve(on_lease)
+
+        drive(work, [one_slot_worker])
+        assert leased == [1, 2, 0, 3]
+        assert sorted(work.outcomes) == cells
