@@ -205,102 +205,6 @@ class WindowSelector:
 
 
 @dataclass(frozen=True)
-class BatchWindowDecision:
-    """Algorithm 1 outcomes for a batch of nodes sharing ``|T|`` windows.
-
-    Row ``i`` corresponds to node ``i`` of the batch.  ``window_index``
-    is −1 where no window was feasible (the scalar path's FAIL/None).
-    ``utilities`` is the per-window utility vector, shared by every row
-    because the utility depends only on the window index.
-    """
-
-    success: np.ndarray
-    window_index: np.ndarray
-    utilities: np.ndarray
-    scores: np.ndarray
-    difs: np.ndarray
-
-    def chosen_utilities(self) -> np.ndarray:
-        """Utility of each node's chosen window (0.0 on FAIL)."""
-        idx = np.where(self.success, self.window_index, 0)
-        return np.where(self.success, self.utilities[idx], 0.0)
-
-
-def score_windows_batch(
-    battery_energies_j: np.ndarray,
-    normalized_degradations: np.ndarray,
-    green_matrix: np.ndarray,
-    estimated_tx_matrix: np.ndarray,
-    *,
-    max_tx_energy_j: float,
-    soc_cap_j,
-    w_b: float = 1.0,
-    utility_fn: Optional[UtilityFunction] = None,
-) -> BatchWindowDecision:
-    """Run Algorithm 1 for a whole batch of nodes in array expressions.
-
-    ``green_matrix`` and ``estimated_tx_matrix`` are ``(N, |T|)``;
-    ``battery_energies_j`` and ``normalized_degradations`` are ``(N,)``;
-    ``soc_cap_j`` is a scalar or an ``(N,)`` vector of θ·capacity bounds.
-
-    Every row reproduces :meth:`WindowSelector.select` bit for bit:
-
-    * scores use the same ``(1 − μ) + (w·DIF)·w_b`` operation order;
-    * the stable argsort matches Python's stable ``sorted``;
-    * the cumulative-availability scan exploits that harvest energies
-      are non-negative, so the θ-capped recurrence ``stored ← min(cap,
-      stored + green)`` collapses to ``min(cap, running_sum)`` with the
-      running sum accumulated in the scalar path's addition order
-      (``np.cumsum`` is a sequential left-to-right accumulation).
-    """
-    green = np.asarray(green_matrix, dtype=np.float64)
-    est = np.asarray(estimated_tx_matrix, dtype=np.float64)
-    if green.ndim != 2 or est.shape != green.shape:
-        raise ConfigurationError(
-            "green and tx-energy matrices must share an (N, T) shape"
-        )
-    n, windows = green.shape
-    if windows == 0:
-        raise ConfigurationError("at least one forecast window is required")
-    battery = np.asarray(battery_energies_j, dtype=np.float64)
-    if (battery < 0).any():
-        raise ConfigurationError("battery energy cannot be negative")
-    w = np.asarray(normalized_degradations, dtype=np.float64)
-    if ((w < 0.0) | (w > 1.0)).any():
-        raise ConfigurationError("normalized degradation must be in [0, 1]")
-
-    # Lines 2-6: the Eq. (17) objective, whole matrix at once.
-    utilities = cached_utilities_vector(utility_fn or LinearUtility(), windows)
-    difs = dif_batch(est, green, max_tx_energy_j)
-    scores = (1.0 - utilities)[None, :] + (w[:, None] * difs) * w_b
-
-    # Lines 8-11: θ-capped cumulative availability (see docstring).
-    cap = np.broadcast_to(np.asarray(soc_cap_j, dtype=np.float64), (n,))
-    s0 = np.minimum(battery, cap)
-    running = np.cumsum(
-        np.concatenate([s0[:, None], green[:, :-1]], axis=1), axis=1
-    )
-    available = np.minimum(running, cap[:, None]) + green
-
-    # Lines 7 + 12-18: the scalar walk visits windows in stable
-    # non-decreasing-γ order and takes the first feasible one — that is
-    # the feasible window with the smallest score, ties resolved to the
-    # lowest index, which is exactly argmin over the feasibility-masked
-    # score matrix (no per-row sort needed).
-    feasible = (available - est) > 0.0
-    success = feasible.any(axis=1)
-    chosen = np.where(feasible, scores, np.inf).argmin(axis=1)
-    window_index = np.where(success, chosen, -1)
-    return BatchWindowDecision(
-        success=success,
-        window_index=window_index,
-        utilities=utilities,
-        scores=scores,
-        difs=difs,
-    )
-
-
-@dataclass(frozen=True)
 class MixedBatchWindowDecision:
     """Algorithm 1 outcomes for rows with *per-row* window counts.
 
@@ -405,6 +309,10 @@ def score_windows_mixed(
     difs = dif_batch(est, green, max_tx_energy_j)
     scores = (1.0 - utilities) + (w[:, None] * difs) * w_b
 
+    # Lines 8-11: harvest energies are non-negative, so the θ-capped
+    # recurrence ``stored ← min(cap, stored + green)`` collapses to
+    # ``min(cap, running_sum)``, summed in the scalar path's order
+    # (``np.cumsum`` accumulates left to right).
     cap = np.broadcast_to(np.asarray(soc_cap_j, dtype=np.float64), (n,))
     s0 = np.minimum(battery, cap)
     running = np.cumsum(
@@ -412,6 +320,9 @@ def score_windows_mixed(
     )
     available = np.minimum(running, cap[:, None]) + green
 
+    # Lines 7 + 12-18: the first feasible window in stable
+    # non-decreasing-γ order is the feasible window with the smallest
+    # score, ties to the lowest index — the masked argmin.
     feasible = (available - est) > 0.0
     feasible &= np.arange(windows)[None, :] < counts_arr[:, None]
     success = feasible.any(axis=1)

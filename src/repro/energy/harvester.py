@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import _random
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -20,6 +21,12 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..kernels import shading as _kshading
 from .solar import SolarModel
+
+#: Each thread's scratch generator for :meth:`Harvester._shading_at`.
+#: Every draw fully reseeds it, so no harvester needs generator state of
+#: its own; one per thread means no other thread can reseed it between a
+#: seed and its two draws.
+_SCRATCH = threading.local()
 
 
 @dataclass
@@ -40,6 +47,9 @@ class Harvester:
         scale for shades moving across a node).
     efficiency:
         Harvesting-path efficiency (MPPT/regulator losses).
+
+    A harvester holds no generator: shading draws reseed the calling
+    thread's scratch generator (``_SCRATCH`` in this module).
     """
 
     solar: SolarModel
@@ -53,12 +63,6 @@ class Harvester:
     diet: bool = False
 
     _cache: dict = field(default_factory=dict, init=False, repr=False)
-    #: Scratch C-level generator reused (re-seeded) by :meth:`_shading_at`;
-    #: seeding fully resets its state, so reuse draws the exact values a
-    #: fresh ``Random(seed)`` would.
-    _rng_scratch: Optional[_random.Random] = field(
-        default=None, init=False, repr=False
-    )
     #: Private one-row shading table behind :meth:`shading_factors_batch`
     #: (the vectorized engine gathers through its own cohort table).
     _table: Optional[_kshading.ShadingTable] = field(
@@ -89,11 +93,10 @@ class Harvester:
         self._cache_limit = self.DIET_CACHE_LIMIT if self.diet else self.CACHE_LIMIT
 
     def __getstate__(self) -> dict:
-        # Snapshots carry neither cache table nor scratch RNG: both are
-        # rebuilt on demand and hold only pure-function values.
+        # Snapshots do not carry the cache table: it is rebuilt on
+        # demand and holds only pure-function values.
         state = self.__dict__.copy()
         state["_table"] = None
-        state["_rng_scratch"] = None
         return state
 
     def _shading_factor(self, time_s: float) -> float:
@@ -116,9 +119,9 @@ class Harvester:
         the scalar cache and the float32 shading tables hold the exact
         same number and both engines keep agreeing bitwise.
         """
-        rng = self._rng_scratch
+        rng = getattr(_SCRATCH, "rng", None)
         if rng is None:
-            rng = self._rng_scratch = _random.Random()
+            rng = _SCRATCH.rng = _random.Random()
         # ``random.Random(seed).gauss(mu, σ)`` inlined: the C-level seed
         # (what ``Random.seed`` does for an int, minus resetting the spare
         # Gaussian this path never reads) and one Box–Muller draw with

@@ -17,7 +17,9 @@ The RNG boundary is deliberate: shading factors and contention draws
 come from seeded :class:`random.Random` generators whose draw order is
 observable, so draws always happen in Python — kernels only consume the
 drawn values (see docs/PERFORMANCE.md § Kernel layer).  Shading draws
-are pure functions of (node, grid index), which is why
+are pure functions of (node, grid index) — each one reseeds the
+calling thread's scratch generator, which :mod:`repro.energy.harvester`
+owns, not a node or a kernel — which is why
 :class:`~repro.kernels.shading.ShadingTable` may cache them for a whole
 cohort in a fixed-size, direct-mapped table: evicting and redrawing a
 factor returns the same bits.

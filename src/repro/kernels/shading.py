@@ -10,7 +10,9 @@ drawn once each, written straight into the output and then stored.
 The vectorized sweep sets ``W`` to (longest period + forecast horizon
 + settle chunk) / shading step, rounded up to a power of two, and masks
 night indices out (their slots are never drawn).  Draws come from
-Python's ``random.Random``.
+Python's ``random.Random``: the calling thread's scratch generator in
+:mod:`repro.energy.harvester`, reseeded per factor, so neither the
+table nor its harvesters hold generator state.
 """
 
 from __future__ import annotations

@@ -216,7 +216,6 @@ class MesoNode:
         ]
         self.rssi_dbm = max(self.rssi_by_gateway)
         self.sensitivity_dbm = params.sensitivity_dbm
-        self.rng = random.Random(config.seed * 7919 + placement.node_id)
         self.metrics = NodeMetrics(
             node_id=placement.node_id, period_s=placement.period_s
         )

@@ -136,10 +136,16 @@ class ForeignStatics:
         if lo == hi:
             return ()
         statics: List[StaticAttempt] = []
+        # One generator per call, reseeded per static: ``seed`` resets
+        # all of its state, so each static draws what a fresh
+        # ``Random(key)`` would.  ``__new__`` alone skips the urandom
+        # seeding of a bare ``Random()``, which the first ``seed`` would
+        # overwrite.
+        draw = random.Random.__new__(random.Random)
         for i in range(lo, hi):
             node_id = int(self.node_ids[i])
             airtime, sf, lin_mw = self.profiles[node_id]
-            draw = random.Random(
+            draw.seed(
                 (
                     self.seed * 0x9E3779B97F4A7C15
                     ^ node_id * 0xC2B2AE3D27D4EB4F

@@ -9,7 +9,9 @@ results either, which ``test_checkpointing_does_not_change_results``
 pins against a checkpoint-free run.
 """
 
+import _random
 import os
+import random
 import shutil
 
 import pytest
@@ -17,7 +19,9 @@ import pytest
 from repro.checkpoint import (
     assert_equivalent,
     assert_trace_files_identical,
+    load_checkpoint,
     resume,
+    save_checkpoint,
 )
 from repro.constants import SECONDS_PER_DAY
 from repro.exceptions import SimulationInterrupted
@@ -183,6 +187,35 @@ class TestMesoscopicEngine:
             meso_config(), tmp_path, CADENCES["boundary"], pick=-1
         )
 
+    def test_snapshot_with_retired_generators_resumes_to_golden(self, tmp_path):
+        """A snapshot written when every node carried an ``rng`` and every
+        harvester a ``_rng_scratch`` (pickled as None: a C generator does
+        not pickle) resumes to the pinned digests; the retired attributes
+        load as unread leftovers."""
+        ckdir = str(tmp_path / "ckpts")
+        config = meso_config(
+            checkpoint_every_s=CADENCES["midday"], checkpoint_dir=ckdir
+        )
+        MesoscopicSimulator(config).run()
+        sim, header = load_checkpoint(
+            os.path.join(ckdir, sorted(os.listdir(ckdir))[0])
+        )
+        for node in sim.nodes.values():
+            node.rng = random.Random(config.seed * 7919 + node.node_id)
+            node.harvester._rng_scratch = None
+        old_dir = str(tmp_path / "old")
+        os.mkdir(old_dir)
+        path = save_checkpoint(sim, old_dir, header["time_s"], engine="meso")
+
+        resumed, _ = resume(path)
+        nodes = list(resumed.nodes.values())
+        assert all(isinstance(node.rng, random.Random) for node in nodes)
+        assert all(hasattr(node.harvester, "_rng_scratch") for node in nodes)
+        expected = golden.load()["resume"]
+        assert golden.result_digests(resumed.run()) == {
+            key: value for key, value in expected.items() if key != "trace"
+        }
+
 
 class TestDietShadingResume:
     """The vectorized sweep's shading table never enters a snapshot.
@@ -208,8 +241,9 @@ class TestDietShadingResume:
 
     def test_snapshot_drops_shading_caches(self, tmp_path):
         # The noisy forecaster gathers through each harvester's private
-        # table; the snapshot must carry neither it nor the scratch RNG,
-        # and the shared solar model must come back shared.
+        # table; the snapshot must not carry it, no harvester may hold a
+        # generator (not even after drawing), and the shared solar model
+        # must come back shared.
         ckdir = str(tmp_path / "ck")
         config = meso_config(
             forecaster="noisy",
@@ -219,8 +253,20 @@ class TestDietShadingResume:
         MesoscopicSimulator(config).run()
         sim, _ = resume(os.path.join(ckdir, sorted(os.listdir(ckdir))[0]))
         harvesters = [node.harvester for node in sim.nodes.values()]
-        assert all(h._table is None and h._rng_scratch is None for h in harvesters)
+        assert all(h._table is None for h in harvesters)
         assert all(h.solar is sim.solar for h in harvesters)
+
+        def generators():
+            return [
+                value
+                for h in harvesters
+                for value in vars(h).values()
+                if isinstance(value, _random.Random)
+            ]
+
+        assert generators() == []
+        sim.run()
+        assert generators() == []
 
 
 def telemetry_config(**overrides):
