@@ -204,16 +204,6 @@ class DegradationService:
         """
         self._state(node_id).last_disseminated_s = float("-inf")
 
-    def weight_age_s(self, node_id: int, now_s: float) -> float:
-        """Seconds since ``node_id`` was last sent a weight (inf = never).
-
-        The TTL the node applies to its held ``w_u`` (see
-        :class:`~repro.core.mac.BatteryLifespanAwareMac`) mirrors this
-        age: both sides of the protocol can tell when a weight has gone
-        stale without any extra signalling.
-        """
-        return now_s - self._state(node_id).last_disseminated_s
-
     @property
     def node_count(self) -> int:
         """Number of nodes the service has seen."""

@@ -18,7 +18,7 @@ from .engine import (
     build_mac,
     run_simulation,
 )
-from .events import EventHandle, EventQueue
+from .events import EventQueue
 from .gateway import Gateway, GatewayStats, ReceptionToken
 from .mesoscopic import (
     MesoscopicResult,
@@ -43,7 +43,6 @@ from .topology import (
 __all__ = [
     "AckPayload",
     "EndDevice",
-    "EventHandle",
     "EventQueue",
     "Gateway",
     "GatewayStats",

@@ -136,17 +136,11 @@ class TestConfigValidation:
 
 
 class TestSnapshotability:
-    def test_callback_events_are_not_snapshotable(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        with pytest.raises(CheckpointError, match="schedule_event"):
-            pickle.dumps(queue)
-
     def test_named_events_are_snapshotable(self):
         queue = EventQueue()
         queue.schedule_event(1.0, "period", 42)
         clone = pickle.loads(pickle.dumps(queue))
-        assert clone.pending == queue.pending
+        assert clone._heap == queue._heap == [(1.0, 0, 0, "period", (42,))]
 
 
 class TestAtomicWrites:

@@ -109,21 +109,6 @@ class TestQueueBatchDrain:
             ("period", ["b", "c"]),
         ]
 
-    def test_cancelled_events_are_skipped_inside_a_run(self):
-        queue = EventQueue()
-        seen = []
-        queue.dispatch = lambda kind, args: seen.append(args[0])
-        queue.dispatch_batch = lambda kind, batch: seen.append(
-            [args[0] for args in batch]
-        )
-        queue.batch_kinds = frozenset({"period"})
-        queue.schedule_event(1.0, "period", "a")
-        handle = queue.schedule_event(1.0, "period", "dead")
-        queue.schedule_event(1.0, "period", "b")
-        handle.cancel()
-        assert queue.run_until(5.0)
-        assert seen == [["a", "b"]]
-
     def test_batch_events_count_toward_stop_check(self):
         queue = EventQueue()
         queue.dispatch = lambda kind, args: None
@@ -167,3 +152,27 @@ def test_batched_pass_reports_to_hot_profiler():
     assert "engine.period_batch" in stats
     assert stats["engine.period_batch"]["calls"] >= 1
     prof.reset()
+
+
+def test_run_heap_holds_only_tuples():
+    """Every entry of a run's heap is a plain tuple, checked at every dispatch."""
+    sim = Simulator(SimulationConfig(**BASE))
+    queue = sim.queue
+    dispatch, dispatch_batch = queue.dispatch, queue.dispatch_batch
+    checks = []
+
+    def check():
+        checks.append(all(type(entry) is tuple for entry in queue._heap))
+
+    def checked_dispatch(kind, args):
+        check()
+        dispatch(kind, args)
+
+    def checked_batch(kind, batch):
+        check()
+        dispatch_batch(kind, batch)
+
+    queue.dispatch, queue.dispatch_batch = checked_dispatch, checked_batch
+    sim.run()
+    check()
+    assert len(checks) > 100 and all(checks)

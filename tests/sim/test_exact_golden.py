@@ -11,6 +11,7 @@ import pytest
 
 from repro.checkpoint import latest_checkpoint, load_checkpoint, resume, save_checkpoint
 from repro.sim import run_simulation
+from repro.sim.events import _ScheduledEvent
 from tests.sim import golden
 
 
@@ -39,6 +40,44 @@ def test_snapshot_with_retired_flag_resumes_to_golden(tmp_path):
     resumed, _ = resume(path)
     assert resumed.config.exact_batched is False
     assert resumed.queue.batch_kinds == frozenset({"period"})
+    expected = golden.load()["exact-faults-resumed"]
+    assert golden.exact_digests(resumed.run()) == {
+        key: value for key, value in expected.items() if key != "trace"
+    }
+
+
+def test_snapshot_with_pre_tuple_heap_resumes_to_golden(tmp_path):
+    """A snapshot whose heap holds ``_ScheduledEvent`` objects (written
+    before the heap held plain tuples) resumes to the pinned digests,
+    and the resumed heap holds tuples."""
+    every_s = golden.EXACT_CHECKPOINT_EVERY_S["exact-faults"]
+    config = golden.with_checkpoints(
+        golden.exact_faults_config(), str(tmp_path), every_s
+    )
+    run_simulation(config)
+    path = latest_checkpoint(config.checkpoint_dir)
+    sim, header = load_checkpoint(path)
+    # What the dataclass heap entry used to pickle: its seven fields.
+    entries = []
+    for time_s, priority, sequence, kind, args in sim.queue._heap:
+        entry = _ScheduledEvent()
+        entry.__dict__.update(
+            time_s=time_s,
+            priority=priority,
+            sequence=sequence,
+            callback=None,
+            kind=kind,
+            args=args,
+            cancelled=False,
+        )
+        entries.append(entry)
+    assert entries
+    sim.queue._heap = entries
+    save_checkpoint(sim, config.checkpoint_dir, header["time_s"], engine="exact")
+
+    resumed, _ = resume(path)
+    assert len(resumed.queue._heap) == len(entries)
+    assert all(type(entry) is tuple for entry in resumed.queue._heap)
     expected = golden.load()["exact-faults-resumed"]
     assert golden.exact_digests(resumed.run()) == {
         key: value for key, value in expected.items() if key != "trace"
