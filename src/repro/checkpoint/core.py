@@ -3,13 +3,17 @@
 A checkpoint file is a two-part envelope:
 
 * line 1 — a JSON header: format version, engine name, config hash,
-  simulation time, payload SHA-256 and byte count, seed, node count;
+  simulation time, payload SHA-256 and byte count, seed, node count
+  (space-padded to a fixed width, see :func:`save_checkpoint`);
 * the rest — a :mod:`pickle` of the complete simulator object (event
   queue or sweep heap, per-node device/MAC/battery/degradation state,
-  fault-injector RNG streams, metrics and trace counters).
+  fault-injector RNG streams, metrics and trace counters).  Inside it
+  every exact ``random.Random`` is reduced to its packed Mersenne
+  Twister words (:func:`_reduce_random`).
 
-Files are written through :func:`repro.ioutil.atomic_write_bytes`, so a
-kill at any instant leaves either no file or a complete, verifiable one.
+The payload streams into a temp file that :func:`repro.ioutil.atomic_open`
+renames into place, so a kill at any instant leaves either no file or a
+complete, verifiable one.
 ``load_checkpoint`` refuses unknown format versions and corrupted
 payloads (hash mismatch) with :class:`~repro.exceptions.CheckpointError`
 rather than unpickling untrusted bytes.
@@ -25,14 +29,18 @@ operationally).  The suite under ``tests/checkpoint`` enforces it.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import json
 import os
 import pickle
-from typing import Callable, Dict, Optional, Tuple
+import random
+import struct
+import sys
+from typing import BinaryIO, Callable, Dict, Optional, Tuple
 
 from ..exceptions import CheckpointError
-from ..ioutil import atomic_write_bytes
+from ..ioutil import atomic_open, atomic_write_bytes
 from ..obs.profiling import config_hash
 from ..obs.trace import JsonlSink
 
@@ -60,31 +68,96 @@ def save_checkpoint(
     engine: str,
     keep_last: int = KEEP_LAST,
 ) -> str:
-    """Pickle ``sim`` into ``directory`` and return the file path."""
-    try:
-        payload = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise CheckpointError(
-            f"run state at t={time_s:.3f}s is not snapshotable: {exc}"
-        ) from exc
+    """Pickle ``sim`` into ``directory`` and return the file path.
+
+    The payload streams into the temp file through a hashing writer, so
+    no payload-sized buffer is built.  Line 1 is reserved as a
+    space-padded slot wide enough for any payload size and filled in
+    once the payload's hash and length are known.
+    """
     config = getattr(sim, "config", None)
     header = {
         "format": FORMAT,
         "engine": engine,
         "config_hash": config_hash(config) if config is not None else None,
         "time_s": time_s,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_bytes": len(payload),
+        "payload_sha256": "0" * 64,
+        "payload_bytes": sys.maxsize,
         "seed": getattr(config, "seed", None),
         "node_count": getattr(config, "node_count", None),
     }
-    header_line = json.dumps(header, sort_keys=True).encode("utf-8")
+    slot = len(_header_line(header))
     path = os.path.join(directory, checkpoint_filename(time_s))
-    atomic_write_bytes(path, header_line + b"\n" + payload)
+    with atomic_open(path) as handle:
+        handle.write(b" " * slot + b"\n")
+        sink = _HashingWriter(handle)
+        try:
+            _SnapshotPickler(sink).dump(sim)
+        except OSError:
+            raise  # the write failed, not the state
+        except Exception as exc:
+            raise CheckpointError(
+                f"run state at t={time_s:.3f}s is not snapshotable: {exc}"
+            ) from exc
+        header["payload_sha256"] = sink.sha256.hexdigest()
+        header["payload_bytes"] = sink.size
+        handle.seek(0)
+        handle.write(_header_line(header).ljust(slot))
     _prune(directory, keep_last)
     if _post_save_hook is not None:
         _post_save_hook(path, time_s)
     return path
+
+
+def _header_line(header: Dict[str, object]) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+class _HashingWriter:
+    """File-like sink that hashes and counts the bytes it passes on."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self._handle = handle
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> int:
+        # Protocol 5 hands large buffers (``PickleBuffer``) straight
+        # through; ``nbytes`` is their byte length, ``len`` is not.
+        self.sha256.update(data)
+        self.size += memoryview(data).nbytes
+        return self._handle.write(data)
+
+
+#: One Mersenne Twister's 624 state words, little-endian uint32.
+_MT_WORDS = struct.Struct("<624I")
+
+
+def _reduce_random(rng: random.Random):
+    """Reduce a generator to its packed words, position and ``gauss_next``.
+
+    The default reduction pickles ``getstate()``, a tuple of 625 ints
+    that the pickler's memo keeps alive until the dump ends.
+    """
+    _, internal, gauss_next = rng.getstate()
+    return _restore_random, (_MT_WORDS.pack(*internal[:-1]), internal[-1], gauss_next)
+
+
+def _restore_random(words: bytes, position: int, gauss_next) -> random.Random:
+    """Rebuild a generator reduced by :func:`_reduce_random`."""
+    rng = random.Random()
+    rng.setstate((random.Random.VERSION, _MT_WORDS.unpack(words) + (position,), gauss_next))
+    return rng
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """The snapshot payload's pickler: exact ``random.Random`` instances
+    pickle as packed words.  The table is this pickler's own, so pickles
+    made elsewhere keep the default reduction."""
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.dispatch_table = {**copyreg.dispatch_table, random.Random: _reduce_random}
 
 
 def read_header(path: str) -> Dict[str, object]:
@@ -94,6 +167,10 @@ def read_header(path: str) -> Dict[str, object]:
             header_line = handle.readline()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    return _parse_header(path, header_line)
+
+
+def _parse_header(path: str, header_line: bytes) -> Dict[str, object]:
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -109,6 +186,23 @@ def read_header(path: str) -> Dict[str, object]:
     return header
 
 
+#: Bytes per read while verifying a payload.
+_VERIFY_CHUNK = 1 << 20
+
+
+def _hash_rest(handle: BinaryIO) -> Tuple[int, str]:
+    """Byte count and SHA-256 of the rest of ``handle``, read in chunks."""
+    digest = hashlib.sha256()
+    size = 0
+    chunk = memoryview(bytearray(_VERIFY_CHUNK))
+    while True:
+        count = handle.readinto(chunk)
+        if not count:
+            return size, digest.hexdigest()
+        digest.update(chunk[:count])
+        size += count
+
+
 def load_checkpoint(
     path: str, expected_config_hash: Optional[str] = None
 ) -> Tuple[object, Dict[str, object]]:
@@ -117,37 +211,42 @@ def load_checkpoint(
     The payload is rejected before unpickling when its SHA-256 does not
     match the header (truncation, bit rot, torn copy) and when
     ``expected_config_hash`` is given but differs (resuming a grid cell
-    against the wrong config).
+    against the wrong config).  It is verified in chunks and then
+    unpickled from the file, so no payload-sized buffer is built.
     """
-    header = read_header(path)
-    with open(path, "rb") as handle:
-        handle.readline()
-        payload = handle.read()
-    if len(payload) != header.get("payload_bytes"):
-        raise CheckpointError(
-            f"checkpoint {path!r} is truncated: expected "
-            f"{header.get('payload_bytes')} payload bytes, found {len(payload)}"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
-        raise CheckpointError(
-            f"checkpoint {path!r} failed integrity verification "
-            f"(payload hash mismatch)"
-        )
-    if (
-        expected_config_hash is not None
-        and header.get("config_hash") != expected_config_hash
-    ):
-        raise CheckpointError(
-            f"checkpoint {path!r} was written for config "
-            f"{header.get('config_hash')}, not {expected_config_hash}"
-        )
     try:
-        sim = pickle.loads(payload)
-    except Exception as exc:
-        raise CheckpointError(
-            f"checkpoint {path!r} failed to unpickle: {exc}"
-        ) from exc
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    with handle:
+        header = _parse_header(path, handle.readline())
+        start = handle.tell()
+        size, digest = _hash_rest(handle)
+        if size != header.get("payload_bytes"):
+            raise CheckpointError(
+                f"checkpoint {path!r} is truncated: expected "
+                f"{header.get('payload_bytes')} payload bytes, found {size}"
+            )
+        if digest != header.get("payload_sha256"):
+            raise CheckpointError(
+                f"checkpoint {path!r} failed integrity verification "
+                f"(payload hash mismatch)"
+            )
+        if (
+            expected_config_hash is not None
+            and header.get("config_hash") != expected_config_hash
+        ):
+            raise CheckpointError(
+                f"checkpoint {path!r} was written for config "
+                f"{header.get('config_hash')}, not {expected_config_hash}"
+            )
+        handle.seek(start)
+        try:
+            sim = pickle.load(handle)
+        except Exception as exc:
+            raise CheckpointError(
+                f"checkpoint {path!r} failed to unpickle: {exc}"
+            ) from exc
     return sim, header
 
 

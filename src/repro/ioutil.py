@@ -14,11 +14,19 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, BinaryIO, Iterator
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``)."""
+@contextmanager
+def atomic_open(path: str) -> Iterator[BinaryIO]:
+    """Open a temp file next to ``path`` for binary writing; on a clean
+    exit flush, fsync and ``os.replace`` it over ``path``.
+
+    An exception inside the block removes the temp file and leaves
+    ``path`` as it was, so callers can stream content of any size
+    without holding it in memory.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
@@ -26,7 +34,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -36,6 +44,12 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``)."""
+    with atomic_open(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:

@@ -143,6 +143,19 @@ class TestSnapshotability:
         assert clone._heap == queue._heap == [(1.0, 0, 0, "period", (42,))]
 
 
+    def test_unpicklable_state_leaves_directory_untouched(self, tmp_path):
+        sim = Simulator(small_config())
+        previous = save_checkpoint(sim, str(tmp_path), 100.0, engine="exact")
+        sim.hook = lambda: None
+        with pytest.raises(CheckpointError, match="not snapshotable"):
+            save_checkpoint(sim, str(tmp_path), 200.0, engine="exact")
+        assert os.listdir(tmp_path) == [os.path.basename(previous)]
+        assert latest_checkpoint(str(tmp_path)) == previous
+        restored, header = load_checkpoint(previous)
+        assert header["time_s"] == 100.0
+        assert not hasattr(restored, "hook")
+
+
 class TestAtomicWrites:
     def test_atomic_json_content_and_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.json"
