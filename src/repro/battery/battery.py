@@ -44,10 +44,11 @@ class Battery:
         fixed 25 °C.
     initial_age_s:
         ζ offset for batteries that were not new at deployment.
-    incremental:
-        When True (default) degradation refreshes use the streaming
-        rainflow accumulator — O(new samples) per refresh instead of
-        re-counting the whole trace, bit-identical to the batch path.
+
+    Degradation refreshes read the streaming rainflow accumulator:
+    O(new samples) per refresh instead of re-counting the whole trace,
+    and bit-identical to the batch
+    :meth:`~repro.battery.degradation.DegradationModel.breakdown_from_trace`.
     """
 
     capacity_j: float
@@ -55,7 +56,6 @@ class Battery:
     temperature_c: float = 25.0
     initial_age_s: float = 0.0
     constants: DegradationConstants = DEFAULT_CONSTANTS
-    incremental: bool = True
     #: Optional cap on the incremental accumulator's stress-memo dicts
     #: (None keeps the class default).  Pure-function caches, so any cap
     #: is bit-identical; ``memory_profile="diet"`` shrinks it.
@@ -79,19 +79,14 @@ class Battery:
         self.trace = SocTrace()
         self.trace.append(0.0, self.initial_soc)
         self._model = DegradationModel(self.constants)
-        # Streaming degradation accumulator (plain attribute like the
-        # trace hooks below: never compared or serialized).  Fed the same
-        # clamped SoC values SocTrace stores, so its rainflow state always
-        # mirrors the trace's turning points.
-        self._incremental: Optional[IncrementalDegradation] = (
-            IncrementalDegradation(
-                self.temperature_c, self.constants, memo_limit=self.memo_limit
-            )
-            if self.incremental
-            else None
+        # Streaming degradation accumulator (plain attribute: never
+        # compared, but pickled into every snapshot with the rest of the
+        # battery).  Fed the same clamped SoC values SocTrace stores, so
+        # its rainflow state always mirrors the trace's turning points.
+        self._incremental = IncrementalDegradation(
+            self.temperature_c, self.constants, memo_limit=self.memo_limit
         )
-        if self._incremental is not None:
-            self._incremental.push(self.initial_soc)
+        self._incremental.push(self.initial_soc)
         # Observability hook (not a dataclass field: never compared or
         # serialized); None keeps degradation refreshes trace-free.
         self._trace_bus = None
@@ -200,11 +195,10 @@ class Battery:
         if times_s[0] < self._now_s:
             raise ConfigurationError("battery time cannot move backwards")
         self.trace.extend_batch(times_s, socs)
-        if self._incremental is not None:
-            # Same clamp SocTrace applies before storing.
-            if max(socs) > 1.0:
-                socs = [min(soc, 1.0) for soc in socs]
-            self._incremental.push_batch(socs)
+        # Same clamp SocTrace applies before storing.
+        if max(socs) > 1.0:
+            socs = [min(soc, 1.0) for soc in socs]
+        self._incremental.push_batch(socs)
         self.stored_j = stored_j
         self._now_s = times_s[-1]
 
@@ -214,9 +208,8 @@ class Battery:
         self._now_s = now_s
         soc = self.soc
         self.trace.append(now_s, soc)
-        if self._incremental is not None:
-            # Same clamp SocTrace.append applies before storing.
-            self._incremental.push(min(soc, 1.0))
+        # Same clamp SocTrace.append applies before storing.
+        self._incremental.push(min(soc, 1.0))
 
     # ---------------------------------------------------------- degradation
 
@@ -228,15 +221,10 @@ class Battery:
         monthly).  Returns the new degradation and optionally raises
         :class:`BatteryEndOfLifeError` past the threshold.
         """
-        if self._incremental is not None:
-            breakdown = self._incremental.breakdown(
-                age_s=self.age_s,
-                fallback_mean_soc=self.trace.time_weighted_mean_soc(),
-            )
-        else:
-            breakdown = self._model.breakdown_from_trace(
-                self.trace, age_s=self.age_s, temperature_c=self.temperature_c
-            )
+        breakdown = self._incremental.breakdown(
+            age_s=self.age_s,
+            fallback_mean_soc=self.trace.time_weighted_mean_soc(),
+        )
         self._last_breakdown = breakdown
         self._degradation = breakdown.nonlinear(self.constants)
         # A degraded battery may now hold more energy than it can store.

@@ -233,8 +233,7 @@ class DegradationModel:
         ``fallback_mean_soc`` (or the series mean) is used instead.
         """
         cycles = count_cycles(soc_series)
-        _, _, mean_soc = cycle_statistics(cycles)
-        efc, mean_depth, _ = cycle_statistics(cycles)
+        efc, mean_depth, mean_soc = cycle_statistics(cycles)
         if not cycles:
             if fallback_mean_soc is not None:
                 mean_soc = fallback_mean_soc

@@ -16,8 +16,11 @@ exactly — same left-to-right multiplication chains, same
 closed-then-residue summation order, same ``0.0`` starting values — so
 the resulting :class:`DegradationBreakdown` is equal to the batch
 recomputation down to the last float bit, not merely approximately.
-``tests/sim/test_incremental_equality.py`` enforces this across both
-engines and the fault-sweep scenario.
+Every :class:`~repro.battery.battery.Battery` refreshes through this
+class; the batch pipeline stays as the oracle it is checked against.
+``tests/battery/test_incremental.py`` checks it on random SoC walks and
+battery histories, and ``tests/sim/test_incremental_equality.py``
+checks every refresh of both engines and the fault-sweep scenario.
 
 Memoization
 -----------

@@ -211,8 +211,10 @@ def load_checkpoint(
     The payload is rejected before unpickling when its SHA-256 does not
     match the header (truncation, bit rot, torn copy) and when
     ``expected_config_hash`` is given but differs (resuming a grid cell
-    against the wrong config).  It is verified in chunks and then
-    unpickled from the file, so no payload-sized buffer is built.
+    against the wrong config), and after unpickling when it was written
+    with the retired ``incremental_degradation=False``.  It is verified
+    in chunks and then unpickled from the file, so no payload-sized
+    buffer is built.
     """
     try:
         handle = open(path, "rb")
@@ -247,6 +249,16 @@ def load_checkpoint(
             raise CheckpointError(
                 f"checkpoint {path!r} failed to unpickle: {exc}"
             ) from exc
+    # Snapshots from before the batch degradation refresh was retired
+    # still pickle its flag; a run that used it has batteries without a
+    # streaming accumulator, which cannot continue.
+    config = getattr(sim, "config", None)
+    if getattr(config, "incremental_degradation", True) is False:
+        raise CheckpointError(
+            f"checkpoint {path!r} was written with the retired "
+            f"incremental_degradation=False (batch degradation refresh); "
+            f"its batteries have no streaming accumulator to resume"
+        )
     return sim, header
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..constants import SECONDS_PER_DAY
 from ..exceptions import ConfigurationError
@@ -123,17 +123,6 @@ class SimulationConfig:
     w_u_ttl_s: Optional[float] = None
 
     # ----------------------------------------------------------- performance
-    #: Refresh Eq. (1)-(4) from the streaming rainflow accumulator —
-    #: O(new SoC samples) per refresh instead of re-counting the whole
-    #: trace — bit-identical to the batch recomputation (see
-    #: docs/PERFORMANCE.md).  False forces the original batch path.
-    incremental_degradation: bool = True
-    #: Drop already-counted SoC turning points after each degradation
-    #: refresh so memory stays bounded over decade-long runs.  Requires
-    #: ``incremental_degradation`` (the batch path still needs the full
-    #: trace); off by default because it discards per-node SoC history
-    #: some analyses read back.
-    compact_trace: bool = False
     #: Retired: the exact engine has one PERIOD drain, the batched one.
     #: Only ``True`` is accepted and nothing reads the field; it stays
     #: because the benchmark still passes ``exact_batched=True``, and is
@@ -240,11 +229,6 @@ class SimulationConfig:
             )
         if self.w_u_ttl_s is not None and self.w_u_ttl_s <= 0:
             raise ConfigurationError("w_u_ttl_s must be positive")
-        if self.compact_trace and not self.incremental_degradation:
-            raise ConfigurationError(
-                "compact_trace requires incremental_degradation: the batch "
-                "refresh path re-reads the full SoC trace"
-            )
         if not self.exact_batched:
             raise ConfigurationError(
                 "exact_batched=False is gone: the exact engine has one "
@@ -253,11 +237,6 @@ class SimulationConfig:
         if self.memory_profile not in ("exact", "diet"):
             raise ConfigurationError(
                 "memory_profile must be 'exact' or 'diet'"
-            )
-        if self.memory_profile == "diet" and not self.incremental_degradation:
-            raise ConfigurationError(
-                "memory_profile='diet' requires incremental_degradation: "
-                "the batch refresh path re-reads the full SoC trace"
             )
         if self.sample_nodes is not None:
             normalized = tuple(sorted({int(n) for n in self.sample_nodes}))
@@ -415,18 +394,27 @@ class SimulationConfig:
     def effective_compact_trace(self) -> bool:
         """Whether SoC traces are compacted after degradation refreshes.
 
-        Compaction is bit-identical to results (the incremental pipeline
-        folds turning points as they close and the time-weighted mean is
-        maintained online), so beyond the explicit ``compact_trace``
-        flag it turns itself on for the diet profile and for any
-        multi-month horizon, where retaining every turning point costs
-        megabytes per node-year.
+        Compaction is bit-identical to results (the streaming rainflow
+        accumulator folds turning points as they close and the
+        time-weighted mean is maintained online), so it is on for the
+        diet profile and for any multi-month horizon, where retaining
+        every turning point costs megabytes per node-year.
         """
-        if not self.incremental_degradation:
-            return False
-        if self.compact_trace or self.memory_profile == "diet":
+        if self.memory_profile == "diet":
             return True
         return self.duration_s >= 180 * SECONDS_PER_DAY
+
+    def compaction_rule(self) -> Callable[[int], bool]:
+        """Predicate on node ids: is this node's SoC trace compacted
+        after each degradation refresh?  Yes whenever
+        :meth:`effective_compact_trace` holds, except for the nodes
+        ``sample_nodes`` names, whose full history is kept.  Both
+        engines apply this one rule, built once per refresh pass.
+        """
+        if not self.effective_compact_trace():
+            return lambda node_id: False
+        keep = frozenset(self.sample_nodes or ())
+        return lambda node_id: node_id not in keep
 
     # --------------------------------------------------------- observability
 

@@ -226,7 +226,6 @@ class Simulator:
             capacity_j=capacity,
             initial_soc=config.initial_soc,
             temperature_c=config.temperature_c,
-            incremental=config.incremental_degradation,
         )
         harvester = Harvester(
             solar=solar,
@@ -861,11 +860,11 @@ class Simulator:
                 nodes=len(self.nodes),
             )
         started = time.perf_counter()
-        compact = self.config.compact_trace
+        compacts = self.config.compaction_rule()
         for node in self.nodes.values():
             node.settle_to(self.queue.now_s)
             degradation = node.battery.refresh_degradation()
-            if compact:
+            if compacts(node.node_id):
                 node.battery.trace.compact_tail()
             self.server.publish_degradation(node.node_id, degradation)
             node.metrics.degradation = degradation
@@ -890,7 +889,6 @@ class Simulator:
                 severity="debug",
                 nodes=len(self.nodes),
                 wall_s=elapsed_s,
-                incremental=self.config.incremental_degradation,
             )
 
     # -------------------------------------------------------- checkpointing

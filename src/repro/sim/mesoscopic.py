@@ -183,7 +183,6 @@ class MesoNode:
             capacity_j=capacity,
             initial_soc=config.initial_soc,
             temperature_c=config.temperature_c,
-            incremental=config.incremental_degradation,
             # Diet: small pure-function stress caches (bit-identical).
             memo_limit=4096 if config.diet else None,
         )
@@ -795,7 +794,6 @@ class MesoscopicSimulator:
                 severity="debug",
                 nodes=len(self.nodes),
                 wall_s=elapsed_s,
-                incremental=self.config.incremental_degradation,
             )
 
     def _finalize(self, duration_s: float) -> None:

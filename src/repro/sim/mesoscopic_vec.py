@@ -284,8 +284,7 @@ def _advance(battery, now_s: float) -> None:
     battery._now_s = now_s
     soc = battery.stored_j / battery.capacity_j
     battery.trace.append(now_s, soc)
-    if battery._incremental is not None:
-        battery._incremental.push(min(soc, 1.0))
+    battery._incremental.push(min(soc, 1.0))
 
 
 def _apply_chunks(
@@ -356,9 +355,7 @@ def _apply_chunks(
         else:
             ts.append(t)
             ss.append(clamped)
-    incremental = battery._incremental
-    if incremental is not None:
-        krainflow.replay(incremental._stream, socs)
+    krainflow.replay(battery._incremental._stream, socs)
     trace._weighted_integral = integral
     trace._last_time = prev_t
     trace._last_soc = prev_c
@@ -964,8 +961,7 @@ def _refresh_batch(sim, now_s: float, harvest: _Harvest) -> None:
     disseminate the normalized ``w_u``."""
     started = time.perf_counter()
     trace = sim._trace
-    compact = sim.config.effective_compact_trace()
-    exempt = sim.config.effective_sample_nodes() if compact else None
+    compacts = sim.config.compaction_rule()
     nodes = list(sim.nodes.values())
     _, held = _settle_items(
         [(node, now_s, 0.0) for node in nodes],
@@ -976,7 +972,7 @@ def _refresh_batch(sim, now_s: float, harvest: _Harvest) -> None:
         if brownouts:
             trace.publish(brownouts)
         degradation = node.battery.refresh_degradation()
-        if compact and (exempt is None or node.node_id not in exempt):
+        if compacts(node.node_id):
             node.battery.trace.compact_tail()
         node.metrics.degradation = degradation
         breakdown = node.battery.last_breakdown

@@ -104,6 +104,17 @@ class TestEnvelope:
         )
         assert config_hash(plain) == config_hash(checkpointed)
 
+    def test_config_hash_ignores_retired_refresh_flags(self):
+        # A config pickled before the batch degradation refresh was
+        # retired still carries its two flags; unpickled, it hashes as
+        # a fresh config with the same remaining fields.
+        old = small_config()
+        object.__setattr__(old, "incremental_degradation", True)
+        object.__setattr__(old, "compact_trace", False)
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded.incremental_degradation is True
+        assert config_hash(loaded) == config_hash(small_config())
+
 
 class TestDirectoryManagement:
     def test_latest_and_prune(self, tmp_path):

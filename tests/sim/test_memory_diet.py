@@ -67,10 +67,6 @@ class TestConfigKnobs:
         with pytest.raises(ConfigurationError):
             SimulationConfig(node_count=4, memory_profile="slim")
 
-    def test_diet_requires_incremental_degradation(self):
-        with pytest.raises(ConfigurationError):
-            diet_config(incremental_degradation=False)
-
     def test_sample_nodes_validated_against_node_count(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(node_count=4, sample_nodes=(0, 9))
