@@ -1,15 +1,16 @@
 """Window-contention round-scan kernel (overlap, concurrency, capture).
 
-One *round* of the vectorized window resolver tests every pending
+One *round* of the window resolver
+(:func:`repro.sim.mesoscopic.resolve_window`) tests every pending
 attempt against the universe of already-placed attempts plus the static
 border interferers: overlap → concurrency vs ω, co-channel/co-SF
 overlap → interference, and for interfered attempts the order-sensitive
 per-gateway mW accumulation plus the capture-threshold test.  The
-comparisons are exact and the mW accumulation follows the scalar
-resolver's operand order (statics first, then the universe in index
-order), so the ``ok`` vectors are bit-identical to the scalar
-resolver's: a boolean-matrix scan with a scalar per-row fallback for the
-(rare) interfered attempts, lifted verbatim from the resolver.
+comparisons are exact and the mW accumulation follows the pairwise
+reference resolver's operand order (statics first, then the universe in
+index order), so the ``ok`` vectors are bit-identical to those of the
+scalar oracle in ``tests/sim/resolve_oracle.py``: a boolean-matrix scan
+with a scalar per-row fallback for the (rare) interfered attempts.
 
 All RNG draws (offsets, channels, backoffs) stay with the caller — the
 kernel only consumes already-drawn placements.
@@ -143,7 +144,7 @@ def round_ok(
         ok = free & ctx.in_range[b_entry] & (icount == 0)
         # Interfered attempts drop to the exact scalar accumulation — the
         # interference sum and capture test are order-sensitive float math
-        # (statics first, like the scalar resolver's accumulation).
+        # (statics first, like the reference resolver's accumulation).
         gateways = ctx.gateways
         lin_list = ctx.lin_list
         nodes = ctx.nodes

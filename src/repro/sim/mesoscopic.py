@@ -33,18 +33,21 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..battery import Battery, DegradationModel
 from ..checkpoint.core import save_checkpoint
 from ..checkpoint.interrupt import last_signal
 from ..constants import SECONDS_PER_DAY, SECONDS_PER_YEAR
 from ..core import DegradationService, MacPolicy
-from ..exceptions import ConfigurationError, SimulationInterrupted
+from ..exceptions import ConfigurationError, SimulationError, SimulationInterrupted
 from ..energy import (
     CloudProcess,
     Harvester,
     SoftwareDefinedSwitch,
     SolarModel,
 )
+from ..kernels import contention as kcontention
 from ..lora import LogDistanceLink, SpreadingFactor, airtime_table
 from ..obs import Observability, RunManifest, config_hash, git_revision
 from .config import SimulationConfig
@@ -105,26 +108,6 @@ class StaticAttempt:
         self.channel = channel
         self.spreading_factor = spreading_factor
         self.lin_mw = lin_mw
-
-
-class Attempt:
-    """One scheduled transmission attempt inside a window resolution.
-
-    Module-level ``__slots__`` class rather than a dataclass defined
-    inside :func:`resolve_window`: the function runs once per contended
-    window for the whole horizon, and rebuilding the dataclass machinery
-    per call dominated its profile.
-    """
-
-    __slots__ = ("start_s", "entry", "attempt_no", "channel")
-
-    def __init__(
-        self, start_s: float, entry: WindowEntry, attempt_no: int, channel: int
-    ) -> None:
-        self.start_s = start_s
-        self.entry = entry
-        self.attempt_no = attempt_no
-        self.channel = channel
 
 
 class NodeTemplate:
@@ -230,6 +213,7 @@ class MesoNode:
         """|T| — forecast windows available per sampling period."""
         return max(1, int(self.placement.period_s // self.config.window_s))
 
+
 def resolve_window(
     entries: List[WindowEntry],
     window_s: float,
@@ -242,134 +226,160 @@ def resolve_window(
 ) -> Dict[int, WindowOutcome]:
     """Exactly resolve contention among transmissions sharing a window.
 
-    Immediate (ALOHA) entries start at offset 0; window-selected entries
-    start at a uniform random offset.  Failed attempts retry after the
-    class-A receive windows plus a 1-3 s jitter, up to the LoRa limit.
-    Attempt overlap is resolved pairwise on channel (+SF) with capture;
-    more than ω concurrent transmissions saturate the demodulators.
+    Immediate (ALOHA) entries start at their offset in the window;
+    window-selected entries start at a uniform random offset.  Failed
+    attempts retry after the class-A receive windows plus a 1-3 s
+    jitter, up to the LoRa limit.  Attempt overlap is resolved pairwise
+    on channel (+SF) with capture; more than ω concurrent transmissions
+    saturate the demodulators.
 
     ``static_attempts`` (border exchange) add one-shot foreign
     interference: they count toward ω concurrency and co-channel
     same-SF power but never retry and get no outcomes.  They consume no
-    RNG draws, and they are accumulated *before* the live universe so
-    the vectorized resolver can reproduce the float sums exactly.
+    RNG draws.
+
+    The RNG draws happen here, in Python: all round-0 offsets and
+    channels first (entry order), then each round's retry backoffs and
+    channels (start-sorted order).  The O(batch × universe)
+    overlap/concurrency/capture scan of each round runs through the
+    :mod:`repro.kernels.contention` round kernel, which only consumes
+    the drawn placements.  ``tests/sim/resolve_oracle.py`` keeps the
+    pairwise scalar resolver this replays draw for draw.
+
+    Every entry must be a distinct node, and all nodes must have the
+    same number of gateways; otherwise :class:`SimulationError`.
     """
     if not entries:
         return {}
+    k = len(entries)
+    nodes = [entry.node for entry in entries]
+    if len({node.node_id for node in nodes}) != k:
+        raise SimulationError("a node is listed twice in one window")
+    if len({len(node.rssi_by_gateway) for node in nodes}) != 1:
+        raise SimulationError("window entries have mixed gateway counts")
+    airtimes = [node.airtime_s for node in nodes]
+    ctx = kcontention.ResolveContext(
+        nodes, static_attempts, omega, capture_threshold_db
+    )
 
-    def overlaps(a_start: float, a_end: float, b_start: float, b_end: float) -> bool:
-        return a_start < b_end and b_start < a_end
+    # Round-0 draws, in entry order.
+    starts0 = np.empty(k)
+    chans0 = np.empty(k, dtype=np.int64)
+    for i, entry in enumerate(entries):
+        if entry.immediate:
+            starts0[i] = entry.offset_in_window_s
+        else:
+            starts0[i] = rng.uniform(0.0, max(1e-6, window_s - airtimes[i]))
+        chans0[i] = rng.randrange(channel_count)
+
+    pend_starts = starts0
+    pend_ends = starts0 + np.array(airtimes)
+    pend_chans = chans0
+    pend_entry = np.arange(k)
+    pend_att = np.zeros(k, dtype=np.int64)
+
+    # Universe of already-resolved attempts, in emission order.
+    res_starts: List[float] = []
+    res_ends: List[float] = []
+    res_chans: List[int] = []
+    res_entry: List[int] = []
+    per_entry_items: List[List[Tuple[int, float, bool]]] = [[] for _ in range(k)]
+
+    while pend_starts.size:
+        order = np.argsort(pend_starts, kind="stable")
+        b_starts = pend_starts[order]
+        b_ends = pend_ends[order]
+        b_chans = pend_chans[order]
+        b_entry = pend_entry[order]
+        b_att = pend_att[order]
+        kb = b_starts.size
+        nres = len(res_starts)
+        if nres:
+            u_starts = np.concatenate([res_starts, b_starts])
+            u_ends = np.concatenate([res_ends, b_ends])
+            u_chans = np.concatenate([res_chans, b_chans])
+            u_entry_arr = np.concatenate([res_entry, b_entry])
+        else:
+            u_starts, u_ends, u_chans, u_entry_arr = (
+                b_starts,
+                b_ends,
+                b_chans,
+                b_entry,
+            )
+
+        ok = kcontention.round_ok(
+            ctx,
+            b_starts,
+            b_ends,
+            b_chans,
+            b_entry,
+            u_starts,
+            u_ends,
+            u_chans,
+            u_entry_arr,
+            nres,
+        )
+
+        if not res_starts and ok.all():
+            # Every round-0 attempt got through: emit outcomes straight
+            # from the draw arrays, skipping the retry/aggregation
+            # machinery (finish = each attempt's own end).
+            ends0 = pend_ends.tolist()
+            return {
+                nodes[e].node_id: WindowOutcome(
+                    attempts=1, success=True, finish_offset_s=ends0[e]
+                )
+                for e in range(k)
+            }
+
+        res_starts.extend(b_starts.tolist())
+        res_ends.extend(b_ends.tolist())
+        res_chans.extend(b_chans.tolist())
+        res_entry.extend(b_entry.tolist())
+        b_ends_list = b_ends.tolist()
+        for i in range(kb):
+            per_entry_items[b_entry[i]].append(
+                (int(b_att[i]), b_ends_list[i], bool(ok[i]))
+            )
+
+        # Retry draws: failures in batch (start-sorted) order.
+        new_starts: List[float] = []
+        new_ends: List[float] = []
+        new_chans: List[int] = []
+        new_entry: List[int] = []
+        new_att: List[int] = []
+        for i in np.nonzero(~ok)[0]:
+            att = int(b_att[i])
+            if att >= max_retransmissions:
+                continue
+            backoff = 2.0 + rng.uniform(1.0, 3.0)
+            chan = rng.randrange(channel_count)
+            e = int(b_entry[i])
+            start = b_ends_list[i] + backoff
+            new_starts.append(start)
+            new_ends.append(start + airtimes[e])
+            new_chans.append(chan)
+            new_entry.append(e)
+            new_att.append(att + 1)
+        pend_starts = np.array(new_starts)
+        pend_ends = np.array(new_ends)
+        pend_chans = np.array(new_chans, dtype=np.int64)
+        pend_entry = np.array(new_entry, dtype=np.int64)
+        pend_att = np.array(new_att, dtype=np.int64)
 
     outcomes: Dict[int, WindowOutcome] = {}
-    pending: List[Tuple[Attempt, float]] = []  # (attempt, end_s)
-    for entry in entries:
-        if entry.immediate:
-            offset = entry.offset_in_window_s
-        else:
-            offset = rng.uniform(0.0, max(1e-6, window_s - entry.node.airtime_s))
-        attempt = Attempt(
-            start_s=offset,
-            entry=entry,
-            attempt_no=0,
-            channel=rng.randrange(channel_count),
-        )
-        pending.append((attempt, offset + entry.node.airtime_s))
-
-    # Iteratively resolve rounds: collisions among currently scheduled
-    # attempts may spawn retries, which can collide again.
-    resolved: List[Tuple[Attempt, float, bool]] = []
-    while pending:
-        # Pairwise collision resolution for this batch plus everything
-        # already resolved (earlier attempts can overlap later ones).
-        batch = sorted(pending, key=lambda item: item[0].start_s)
-        universe = [(a, e) for a, e, _ in resolved] + batch
-        survived: List[Tuple[Attempt, float, bool]] = []
-        for attempt, end_s in batch:
-            node = attempt.entry.node
-            gateways = len(node.rssi_by_gateway)
-            interferers_mw = [0.0] * gateways
-            concurrent = 0
-            for static in static_attempts:
-                if not overlaps(
-                    attempt.start_s, end_s, static.start_s, static.end_s
-                ):
-                    continue
-                concurrent += 1
-                if (
-                    static.channel == attempt.channel
-                    and static.spreading_factor
-                    == node.tx_params.spreading_factor
-                ):
-                    for g in range(gateways):
-                        interferers_mw[g] += static.lin_mw[g]
-            for other, other_end in universe:
-                if other is attempt:
-                    continue
-                if not overlaps(attempt.start_s, end_s, other.start_s, other_end):
-                    continue
-                concurrent += 1
-                other_node = other.entry.node
-                if (
-                    other.channel == attempt.channel
-                    and other_node.tx_params.spreading_factor
-                    == node.tx_params.spreading_factor
-                ):
-                    for g in range(gateways):
-                        interferers_mw[g] += 10.0 ** (
-                            other_node.rssi_by_gateway[g] / 10.0
-                        )
-            # Delivered if any gateway hears it above sensitivity, with
-            # a free demodulator, and clear of co-channel interference.
-            ok = False
-            if concurrent + 1 <= omega:
-                for g in range(gateways):
-                    rssi = node.rssi_by_gateway[g]
-                    if rssi < node.sensitivity_dbm:
-                        continue
-                    if interferers_mw[g] == 0.0:
-                        ok = True
-                        break
-                    sir_db = rssi - 10.0 * math.log10(interferers_mw[g])
-                    if sir_db >= capture_threshold_db:
-                        ok = True
-                        break
-            survived.append((attempt, end_s, ok))
-        resolved.extend(survived)
-        # Spawn retries for failures.
-        pending = []
-        for attempt, end_s, ok in survived:
-            if ok:
-                continue
-            if attempt.attempt_no >= max_retransmissions:
-                continue
-            node = attempt.entry.node
-            backoff = 2.0 + rng.uniform(1.0, 3.0)
-            retry = Attempt(
-                start_s=end_s + backoff,
-                entry=attempt.entry,
-                attempt_no=attempt.attempt_no + 1,
-                channel=rng.randrange(channel_count),
-            )
-            pending.append((retry, retry.start_s + node.airtime_s))
-
-    # Aggregate per node: first successful attempt wins.
-    per_node: Dict[int, List[Tuple[Attempt, float, bool]]] = {}
-    for attempt, end_s, ok in resolved:
-        per_node.setdefault(attempt.entry.node.node_id, []).append(
-            (attempt, end_s, ok)
-        )
-    for node_id, items in per_node.items():
-        items.sort(key=lambda item: item[0].attempt_no)
+    for e in range(k):
+        items = per_entry_items[e]  # already attempt_no-ascending
         attempts_used = 0
         success = False
         finish = items[-1][1]
-        for attempt, end_s, ok in items:
-            attempts_used = attempt.attempt_no + 1
-            if ok:
+        for att, end_s, hit in items:
+            attempts_used = att + 1
+            if hit:
                 success = True
                 finish = end_s
                 break
-        outcomes[node_id] = WindowOutcome(
+        outcomes[nodes[e].node_id] = WindowOutcome(
             attempts=attempts_used, success=success, finish_offset_s=finish
         )
     return outcomes

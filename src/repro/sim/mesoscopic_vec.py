@@ -56,7 +56,6 @@ from ..checkpoint.interrupt import stop_requested
 from ..constants import SECONDS_PER_YEAR
 from ..core.mac import batch_choose_windows_mixed
 from ..exceptions import ConfigurationError
-from ..kernels import contention as kcontention
 from ..kernels import rainflow as krainflow
 from ..kernels import settle as ksettle
 from ..kernels import shading as kshading
@@ -591,10 +590,6 @@ def _book_periods(
 
 # --------------------------------------------------------------- resolution
 
-#: Below this many participants (entries + statics) a window resolves
-#: through :func:`resolve_window` — same draws, less overhead.
-_SMALL_RESOLVE_LIMIT = 4
-
 
 def _resolve_single(entry: WindowEntry, window_s: float, config, rng) -> WindowOutcome:
     """Resolve an uncontended window without the pairwise machinery.
@@ -603,7 +598,9 @@ def _resolve_single(entry: WindowEntry, window_s: float, config, rng) -> WindowO
     lone attempt succeeds iff any gateway hears the node above
     sensitivity (no interferers, and ω ≥ 1 always admits one signal);
     an out-of-range node burns its full retry budget, consuming the
-    same backoff/channel draws.
+    same backoff/channel draws.  ``tests/sim/test_resolve_oracle.py``
+    checks both against the scalar reference resolver in
+    ``tests/sim/resolve_oracle.py``.
     """
     node = entry.node
     airtime = node.airtime_s
@@ -626,160 +623,6 @@ def _resolve_single(entry: WindowEntry, window_s: float, config, rng) -> WindowO
     )
 
 
-def _resolve_window_vec(
-    entries: List[WindowEntry],
-    window_s: float,
-    channel_count: int,
-    omega: int,
-    max_retransmissions: int,
-    rng,
-    capture_threshold_db: float = 6.0,
-    static_attempts: Sequence = (),
-) -> Dict[int, WindowOutcome]:
-    """Array twin of :func:`resolve_window` (same draws, same bits).
-
-    The scalar resolver interleaves no randomness with its pairwise
-    scans: all round-0 offsets/channels are drawn first (entry order) and
-    retry backoffs are drawn per round (start-sorted order), so the
-    draws can be replicated verbatim while the O(batch × universe)
-    overlap/concurrency/capture scan runs through the
-    :mod:`repro.kernels.contention` round kernel.  The RNG draws stay
-    here, in Python, in scalar order; the kernel only consumes the
-    drawn placements.
-
-    Callers must ensure entries reference distinct nodes and identical
-    gateway counts; :func:`_resolve_batch` checks both.
-    """
-    k = len(entries)
-    nodes = [entry.node for entry in entries]
-    airtimes = [node.airtime_s for node in nodes]
-    ctx = kcontention.ResolveContext(
-        nodes, static_attempts, omega, capture_threshold_db
-    )
-
-    # Round-0 draws, exactly as the scalar entry loop makes them.
-    starts0 = np.empty(k)
-    chans0 = np.empty(k, dtype=np.int64)
-    for i, entry in enumerate(entries):
-        if entry.immediate:
-            starts0[i] = entry.offset_in_window_s
-        else:
-            starts0[i] = rng.uniform(0.0, max(1e-6, window_s - airtimes[i]))
-        chans0[i] = rng.randrange(channel_count)
-
-    pend_starts = starts0
-    pend_ends = starts0 + np.array(airtimes)
-    pend_chans = chans0
-    pend_entry = np.arange(k)
-    pend_att = np.zeros(k, dtype=np.int64)
-
-    # Universe of already-resolved attempts, in scalar emission order.
-    res_starts: List[float] = []
-    res_ends: List[float] = []
-    res_chans: List[int] = []
-    res_entry: List[int] = []
-    per_entry_items: List[List[Tuple[int, float, bool]]] = [[] for _ in range(k)]
-
-    while pend_starts.size:
-        order = np.argsort(pend_starts, kind="stable")
-        b_starts = pend_starts[order]
-        b_ends = pend_ends[order]
-        b_chans = pend_chans[order]
-        b_entry = pend_entry[order]
-        b_att = pend_att[order]
-        kb = b_starts.size
-        nres = len(res_starts)
-        if nres:
-            u_starts = np.concatenate([res_starts, b_starts])
-            u_ends = np.concatenate([res_ends, b_ends])
-            u_chans = np.concatenate([res_chans, b_chans])
-            u_entry_arr = np.concatenate([res_entry, b_entry])
-        else:
-            u_starts, u_ends, u_chans, u_entry_arr = (
-                b_starts,
-                b_ends,
-                b_chans,
-                b_entry,
-            )
-
-        ok = kcontention.round_ok(
-            ctx,
-            b_starts,
-            b_ends,
-            b_chans,
-            b_entry,
-            u_starts,
-            u_ends,
-            u_chans,
-            u_entry_arr,
-            nres,
-        )
-
-        if not res_starts and ok.all():
-            # Every round-0 attempt got through: emit outcomes straight
-            # from the draw arrays, skipping the retry/aggregation
-            # machinery (finish = each attempt's own end).
-            ends0 = pend_ends.tolist()
-            return {
-                nodes[e].node_id: WindowOutcome(
-                    attempts=1, success=True, finish_offset_s=ends0[e]
-                )
-                for e in range(k)
-            }
-
-        res_starts.extend(b_starts.tolist())
-        res_ends.extend(b_ends.tolist())
-        res_chans.extend(b_chans.tolist())
-        res_entry.extend(b_entry.tolist())
-        b_ends_list = b_ends.tolist()
-        for i in range(kb):
-            per_entry_items[b_entry[i]].append(
-                (int(b_att[i]), b_ends_list[i], bool(ok[i]))
-            )
-
-        # Retry draws follow the scalar order: failures in batch order.
-        new_starts: List[float] = []
-        new_ends: List[float] = []
-        new_chans: List[int] = []
-        new_entry: List[int] = []
-        new_att: List[int] = []
-        for i in np.nonzero(~ok)[0]:
-            att = int(b_att[i])
-            if att >= max_retransmissions:
-                continue
-            backoff = 2.0 + rng.uniform(1.0, 3.0)
-            chan = rng.randrange(channel_count)
-            e = int(b_entry[i])
-            start = b_ends_list[i] + backoff
-            new_starts.append(start)
-            new_ends.append(start + airtimes[e])
-            new_chans.append(chan)
-            new_entry.append(e)
-            new_att.append(att + 1)
-        pend_starts = np.array(new_starts)
-        pend_ends = np.array(new_ends)
-        pend_chans = np.array(new_chans, dtype=np.int64)
-        pend_entry = np.array(new_entry, dtype=np.int64)
-        pend_att = np.array(new_att, dtype=np.int64)
-
-    outcomes: Dict[int, WindowOutcome] = {}
-    for e in range(k):
-        items = per_entry_items[e]  # already attempt_no-ascending
-        attempts_used = 0
-        success = False
-        finish = items[-1][1]
-        for att, end_s, hit in items:
-            attempts_used = att + 1
-            if hit:
-                success = True
-                finish = end_s
-                break
-        outcomes[nodes[e].node_id] = WindowOutcome(
-            attempts=attempts_used, success=success, finish_offset_s=finish
-        )
-    return outcomes
-
-
 def _resolve_batch(
     sim,
     entries: List[WindowEntry],
@@ -789,37 +632,22 @@ def _resolve_batch(
 ) -> None:
     """Resolve one absolute window's entries and book their outcomes.
 
-    Contended windows go through the array resolver (or, below
-    ``_SMALL_RESOLVE_LIMIT`` participants, with mixed gateway counts or
-    with a node listed twice, :func:`resolve_window`; all share the
-    RNG draw order); uncontended ones take the single-entry fast path.
-    Settles run as one batch, or one per entry when a node is listed
-    twice (its second settle starts where the first ended); per-entry
+    A lone entry with no static interferers takes the single-entry fast
+    path; every other window goes through :func:`resolve_window`.  Both
+    make the same RNG draws.  Settles run as one batch; per-entry
     bookkeeping and trace events follow entry order.
     """
     config = sim.config
     trace = sim._trace
-    node_ids = [entry.node.node_id for entry in entries]
-    distinct = len(set(node_ids)) == len(node_ids)
     statics = sim._statics_for(window_index)
     if len(entries) == 1 and not statics:
         outcomes = {
-            node_ids[0]: _resolve_single(entries[0], window_s, config, sim.rng)
+            entries[0].node.node_id: _resolve_single(
+                entries[0], window_s, config, sim.rng
+            )
         }
     else:
-        gateway_counts = {len(entry.node.rssi_by_gateway) for entry in entries}
-        if (
-            distinct
-            and len(gateway_counts) == 1
-            and len(entries) + len(statics) > _SMALL_RESOLVE_LIMIT
-        ):
-            resolver = _resolve_window_vec
-        else:
-            # Tiny windows (its pairwise loops beat the array
-            # machinery's fixed overhead), mixed gateway counts and a
-            # node listed twice: the draw-for-draw identical reference.
-            resolver = resolve_window
-        outcomes = resolver(
+        outcomes = resolve_window(
             entries,
             window_s=window_s,
             channel_count=config.channel_count,
@@ -832,25 +660,19 @@ def _resolve_batch(
     chunk_s = config.settle_chunk_s()
     observe = config.forecaster == "persistence"
 
-    def settle_item(entry: WindowEntry) -> Tuple[MesoNode, float, float]:
+    items = []
+    for entry in entries:
         node = entry.node
         outcome = outcomes[node.node_id]
         settle_time = max(
             window_start + outcome.finish_offset_s, node.settled_until_s
         )
-        return node, settle_time, outcome.attempts * node.attempt_energy_j
-
-    if distinct:
-        items = [settle_item(entry) for entry in entries]
-        shortfalls, held = _settle_items(items, harvest, chunk_s)
-    for k, entry in enumerate(entries):
-        if distinct:
-            node, settle_time, demand = items[k]
-            shortfall, brownouts = shortfalls[k], held[k]
-        else:
-            item = settle_item(entry)
-            node, settle_time, demand = item
-            (shortfall,), (brownouts,) = _settle_items([item], harvest, chunk_s)
+        demand = outcome.attempts * node.attempt_energy_j
+        items.append((node, settle_time, demand))
+    shortfalls, held = _settle_items(items, harvest, chunk_s)
+    for entry, (node, settle_time, demand), shortfall, brownouts in zip(
+        entries, items, shortfalls, held
+    ):
         if brownouts:
             trace.publish(brownouts)
         outcome = outcomes[node.node_id]

@@ -34,13 +34,10 @@ from repro.constants import SECONDS_PER_DAY
 from repro.experiments.scenarios import fault_sweep, large_scale_base, testbed_base
 from repro.faults import FaultPlan, NodeReboot
 from repro.sim import (
-    MesoscopicSimulator,
     SimulationConfig,
-    mesoscopic_vec,
     run_mesoscopic,
     run_simulation,
 )
-from repro.sim.mesoscopic import WindowEntry
 from repro.sim.sharded import run_sharded
 
 GOLDEN_FILE = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -367,8 +364,6 @@ def run_scenario(name: str, directory: str) -> Tuple[object, Optional[str]]:
         from tests.sim.test_sharded import sharded_config
 
         return run_sharded(sharded_config(shards=2)), None
-    if name == "duplicate-window":
-        return duplicate_window(directory)
     config = CONFIGS[name]()
     every_s = CHECKPOINT_EVERY_S.get(name)
     traced, path = run_traced(
@@ -379,60 +374,7 @@ def run_scenario(name: str, directory: str) -> Tuple[object, Optional[str]]:
     return traced, path
 
 
-def duplicate_window(directory: str):
-    """One window holding a node twice, resolved on a fresh simulator.
-
-    Periods are never shorter than a window, so a sweep cannot book a
-    node into one absolute window twice; this drives the resolver's
-    duplicate branch directly.  Returns a result-like view of the
-    simulator and its trace path.
-    """
-    path = os.path.join(directory, "duplicate-window.jsonl")
-    config = vec_config(node_count=4, initial_soc=0.01, radius_m=500.0).as_h(0.5)
-    sim = MesoscopicSimulator(config.replace(trace=True, trace_path=path))
-    nodes = list(sim.nodes.values())
-    window_s = config.window_s
-    window_index = 50
-
-    def entry(node):
-        return WindowEntry(
-            node=node,
-            immediate=False,
-            window_index_in_period=10,
-            period_start_s=window_index * window_s - 600.0,
-            decision=mesoscopic_vec._FastDecision(0.5),
-        )
-
-    # Node 0 twice: its second settle starts where the first ended.
-    entries = [entry(nodes[0]), entry(nodes[1]), entry(nodes[0]), entry(nodes[2])]
-    mesoscopic_vec._resolve_batch(
-        sim, entries, window_index, window_s, mesoscopic_vec._Harvest(sim)
-    )
-    sim.obs.close()
-    return _SimView(sim), path
-
-
-class _SimView:
-    """The result fields :func:`result_digests` reads, from a simulator."""
-
-    def __init__(self, sim) -> None:
-        from repro.sim.metrics import NetworkMetrics
-
-        self.metrics = NetworkMetrics(
-            nodes={nid: node.metrics for nid, node in sim.nodes.items()}
-        )
-        self.packet_log = sim.packet_log
-        self.monthly = []
-        # No run, so no rates: pin each battery's stored energy instead.
-        self.linear_rates = {
-            nid: node.battery.stored_j for nid, node in sim.nodes.items()
-        }
-        self.manifest = dataclasses.make_dataclass(
-            "Counters", ["events_executed", "peak_queue_depth"]
-        )(sim._events_executed, sim._peak_heap)
-
-
-SCENARIOS = (*CONFIGS, "sharded", "duplicate-window", *EXACT_SCENARIOS)
+SCENARIOS = (*CONFIGS, "sharded", *EXACT_SCENARIOS)
 
 
 def load() -> Dict[str, Dict[str, object]]:

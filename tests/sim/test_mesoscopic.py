@@ -66,6 +66,7 @@ class TestResolveWindow:
         entries = make_entries(config, 2, immediate=True)
         # Equalize RSSI so capture cannot save either first attempt.
         for entry in entries:
+            entry.node.rssi_by_gateway = [-90.0]
             entry.node.rssi_dbm = -90.0
         outcomes = resolve_window(entries, 60.0, 1, 8, 8, random.Random(2))
         assert all(o.attempts > 1 for o in outcomes.values())
@@ -84,6 +85,7 @@ class TestResolveWindow:
         config = meso_config()
         entries = make_entries(config, 4, immediate=True)
         for entry in entries:
+            entry.node.rssi_by_gateway = [-90.0]
             entry.node.rssi_dbm = -90.0
         outcomes = resolve_window(entries, 60.0, 1, 8, 2, random.Random(3))
         assert all(o.attempts <= 3 for o in outcomes.values())
@@ -94,6 +96,7 @@ class TestResolveWindow:
         def total_attempts(channels, seed):
             entries = make_entries(config, 6, immediate=True)
             for entry in entries:
+                entry.node.rssi_by_gateway = [-90.0]
                 entry.node.rssi_dbm = -90.0
             outcomes = resolve_window(
                 entries, 60.0, channels, 8, 8, random.Random(seed)
@@ -108,6 +111,7 @@ class TestResolveWindow:
         config = meso_config()
         entries = make_entries(config, 5, immediate=True)
         for entry in entries:
+            entry.node.rssi_by_gateway = [-90.0]
             entry.node.rssi_dbm = -90.0
         outcomes = resolve_window(entries, 60.0, 8, 1, 0, random.Random(4))
         # ω = 1 and 5 simultaneous arrivals: at most a small minority win.

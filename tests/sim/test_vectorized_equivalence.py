@@ -15,12 +15,17 @@ expected to pass exact equality; integer counters must be exact.
 """
 
 import math
+import random
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.energy import CloudProcess
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.faults import FaultPlan
-from repro.sim import mesoscopic_vec, run_mesoscopic
+from repro.lora import LogDistanceLink
+from repro.sim import mesoscopic_vec, resolve_window, run_mesoscopic
+from repro.sim.mesoscopic import MesoNode, WindowEntry
+from repro.sim.topology import build_topology
 
 from tests.sim import golden
 from tests.sim.golden import vec_config
@@ -130,13 +135,39 @@ class TestVariants:
     def test_diet_shaded(self, tmp_path):
         run_checked("diet-shaded", tmp_path)
 
-    def test_duplicate_node_in_one_window(self, tmp_path):
-        # A node listed twice in one window settles once per entry, the
-        # second settle starting where the first ended: the second entry
-        # browns out on what the first left in the battery.
-        result = run_checked("duplicate-window", tmp_path)
-        first, second = [r for r in result.packet_log if r.node_id == 0]
-        assert first.delivered and second.energy_drop
+
+class TestMisuse:
+    """A sweep never books a node twice into one window, and every node
+    has one RSSI per gateway of the topology; the resolver refuses
+    windows that break either rule instead of resolving them."""
+
+    @staticmethod
+    def entries(gateway_counts):
+        entries = []
+        for node_id, gateways in enumerate(gateway_counts):
+            config = vec_config(node_count=node_id + 1, gateway_count=gateways)
+            link = LogDistanceLink(path_loss_exponent=config.path_loss_exponent)
+            placement = build_topology(config, link)[node_id]
+            node = MesoNode(placement, config, CloudProcess(seed=0), link)
+            entries.append(
+                WindowEntry(
+                    node=node,
+                    immediate=False,
+                    window_index_in_period=0,
+                    period_start_s=0.0,
+                )
+            )
+        return entries
+
+    def test_repeated_node_in_one_window_raises(self):
+        first, second = self.entries([1, 1])
+        with pytest.raises(SimulationError, match="listed twice"):
+            resolve_window([first, second, first], 60.0, 1, 8, 8, random.Random(1))
+
+    def test_mixed_gateway_counts_raise(self):
+        entries = self.entries([1, 2])
+        with pytest.raises(SimulationError, match="gateway counts"):
+            resolve_window(entries, 60.0, 1, 8, 8, random.Random(1))
 
 
 class TestLookaheadEpochs:
