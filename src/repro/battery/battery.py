@@ -181,23 +181,24 @@ class Battery:
         """Advance time with no energy flow (records trace duration)."""
         self._advance(now_s)
 
-    def commit_samples(self, times_s, socs, stored_j: float) -> None:
+    def commit_samples(
+        self, times_s, socs, integral: float, stored_j: float
+    ) -> None:
         """Record a run of operations computed outside the battery.
 
         ``socs[i]`` is ``stored / capacity`` after the operation ending
-        at ``times_s[i]``.  The trace and the rainflow stream take the
-        run in one batch each, state-identical to one :meth:`_advance`
-        per sample; then the stored energy becomes ``stored_j`` and the
-        clock moves to the run's end.  An empty run changes nothing.
+        at ``times_s[i]``, already validated and clamped to [0, 1] the
+        way :meth:`SocTrace.append` would, and ``integral`` is the
+        trace's time-weighted integral after the run (see
+        :meth:`SocTrace.merge_samples`, which stores the run).  The
+        rainflow stream takes the same samples, so both are
+        state-identical to one :meth:`_advance` per sample; then the
+        stored energy becomes ``stored_j`` and the clock moves to the
+        run's end.  An empty run changes nothing.
         """
         if not len(times_s):
             return
-        if times_s[0] < self._now_s:
-            raise ConfigurationError("battery time cannot move backwards")
-        self.trace.extend_batch(times_s, socs)
-        # Same clamp SocTrace applies before storing.
-        if max(socs) > 1.0:
-            socs = [min(soc, 1.0) for soc in socs]
+        self.trace.merge_samples(times_s, socs, integral)
         self._incremental.push_batch(socs)
         self.stored_j = stored_j
         self._now_s = times_s[-1]

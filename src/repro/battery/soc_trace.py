@@ -107,114 +107,68 @@ class SocTrace:
         if not 0.0 <= soc <= 1.0 + 1e-9:
             raise ConfigurationError(f"SoC {soc} outside [0, 1]")
         soc = min(soc, 1.0)
-        if self._start_time is None:
-            self._start_time = time_s
+        integral = self._weighted_integral
         if self._last_time is not None:
             if time_s < self._last_time:
                 raise ConfigurationError("trace times must be non-decreasing")
             dt = time_s - self._last_time
-            self._weighted_integral += dt * (soc + self._last_soc) / 2.0
+            integral += dt * (soc + self._last_soc) / 2.0
+        self.merge_samples((time_s,), (soc,), integral)
 
-        if len(self.socs) >= 2 and self._is_monotone_continuation(soc):
-            self.times[-1] = time_s
-            self.socs[-1] = soc
-        else:
-            self.times.append(time_s)
-            self.socs.append(soc)
-        self._last_time = time_s
-        self._last_soc = soc
+    def merge_samples(
+        self, times_s: Sequence[float], socs: Sequence[float], integral: float
+    ) -> None:
+        """Store samples the caller has already validated and clamped.
 
-    def _is_monotone_continuation(self, soc: float) -> bool:
-        prev, last = self.socs[-2], self.socs[-1]
-        if last > prev:
-            return soc >= last
-        if last < prev:
-            return soc <= last
-        return soc == last
+        ``socs[i]`` is the SoC at ``times_s[i]``, in [0, 1]; the times
+        are non-decreasing and none precedes :attr:`last_time`.
+        ``integral`` is the time-weighted integral after the last
+        sample, accumulated with :meth:`append`'s per-sample expression
+        in sample order.  A sample continuing the monotone run of the
+        last two stored points moves the last point in place; any other
+        is stored.  State-identical to one :meth:`append` per sample;
+        this is the one copy of the merge rule, which the exact
+        engine's switch and the mesoscopic sweep both commit through.
+        An empty run changes nothing.
+        """
+        count = len(socs)
+        if not count:
+            return
+        ts, ss = self.times, self.socs
+        i = 0
+        while len(ss) < 2 and i < count:
+            ts.append(times_s[i])
+            ss.append(socs[i])
+            i += 1
+        if i < count:
+            # ``prev`` and ``last`` mirror the two stored tail points.
+            prev, last = ss[-2], ss[-1]
+            for i in range(i, count):
+                soc = socs[i]
+                if last > prev:
+                    continues = soc >= last
+                elif last < prev:
+                    continues = soc <= last
+                else:
+                    continues = soc == last
+                if continues:
+                    ts[-1] = times_s[i]
+                    ss[-1] = soc
+                else:
+                    ts.append(times_s[i])
+                    ss.append(soc)
+                    prev = last
+                last = soc
+        if self._start_time is None:
+            self._start_time = times_s[0]
+        self._weighted_integral = integral
+        self._last_time = times_s[count - 1]
+        self._last_soc = socs[count - 1]
 
     def extend(self, samples: Sequence[Tuple[float, float]]) -> None:
         """Append many ``(time_s, soc)`` samples."""
         for time_s, soc in samples:
             self.append(time_s, soc)
-
-    def extend_batch(self, times_s, socs) -> None:
-        """Batched :meth:`extend`: state-identical, O(runs) list writes.
-
-        The integral accumulates with the exact per-sample update in the
-        scalar order, and monotone runs collapse onto the provisional
-        last point in one write instead of one per sample — the same
-        merge :meth:`append` performs step by step, without the
-        per-sample method-call and bookkeeping overhead.  Validation
-        happens up front, so unlike sequential appends an invalid sample
-        rejects the whole batch.
-        """
-        n = len(socs)
-        if n == 0:
-            return
-        # One pass validates, clamps and integrates; nothing is stored
-        # until every sample has passed.
-        times: List[float] = []
-        clamped: List[float] = []
-        integral = self._weighted_integral
-        prev_t, prev_s = self._last_time, self._last_soc
-        for t, s in zip(times_s, socs):
-            t = float(t)
-            s = float(s)
-            if not 0.0 <= s <= 1.0 + 1e-9:
-                raise ConfigurationError(f"SoC {s} outside [0, 1]")
-            if s > 1.0:
-                s = 1.0
-            if prev_t is not None:
-                if t < prev_t:
-                    raise ConfigurationError("trace times must be non-decreasing")
-                # The first-ever sample contributes no trapezoid.
-                integral += (t - prev_t) * (s + prev_s) / 2.0
-            prev_t, prev_s = t, s
-            times.append(t)
-            clamped.append(s)
-        socs = clamped
-        if self._start_time is None:
-            self._start_time = times[0]
-        self._weighted_integral = integral
-
-        ts, ss = self.times, self.socs
-        i = 0
-        while i < n:
-            s = socs[i]
-            if len(ss) >= 2:
-                prev, last = ss[-2], ss[-1]
-                if last > prev:
-                    if s >= last:
-                        j = i
-                        while j + 1 < n and socs[j + 1] >= socs[j]:
-                            j += 1
-                        ts[-1] = times[j]
-                        ss[-1] = socs[j]
-                        i = j + 1
-                        continue
-                elif last < prev:
-                    if s <= last:
-                        j = i
-                        while j + 1 < n and socs[j + 1] <= socs[j]:
-                            j += 1
-                        ts[-1] = times[j]
-                        ss[-1] = socs[j]
-                        i = j + 1
-                        continue
-                elif s == last:
-                    # A flat pair only continues with equal samples.
-                    j = i
-                    while j + 1 < n and socs[j + 1] == socs[j]:
-                        j += 1
-                    ts[-1] = times[j]
-                    ss[-1] = socs[j]
-                    i = j + 1
-                    continue
-            ts.append(times[i])
-            ss.append(s)
-            i += 1
-        self._last_time = times[-1]
-        self._last_soc = socs[-1]
 
     @property
     def turning_points(self) -> List[float]:

@@ -158,12 +158,16 @@ class Harvester:
         return _kshading.gather(self._table, indices, 0)
 
     def power_watts(self, time_s: float) -> float:
-        """Instantaneous harvested (post-regulator) power for this node."""
-        return (
-            self.solar.power_watts(time_s)
-            * self._shading_factor(time_s)
-            * self.efficiency
-        )
+        """Instantaneous harvested (post-regulator) power for this node.
+
+        Zero panel output makes the product that zero whatever the
+        shading factor, so at night no factor is drawn or cached (as in
+        :meth:`window_energies` and the engines' batched harvest).
+        """
+        solar = self.solar.power_watts(time_s)
+        if solar == 0.0:
+            return solar
+        return solar * self._shading_factor(time_s) * self.efficiency
 
     def power_watts_batch(
         self,

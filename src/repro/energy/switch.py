@@ -16,8 +16,13 @@ up to θ, spill the rest".
 
 A node settles many window-sized chunks at once, so
 :meth:`SoftwareDefinedSwitch.apply_chunks` is the one copy of that
-arithmetic: a single pass over the chunks, samples recorded in batch.
-:meth:`~SoftwareDefinedSwitch.apply_window` is its one-chunk case.
+arithmetic: a single pass over the chunks that balances, validates and
+clamps each one and accumulates the SoC-trace integral, then one commit
+of the samples into the trace (:meth:`SocTrace.merge_samples`) and the
+rainflow stream.  The exact engine folds a transmission attempt into
+the settle before it as a zero-length last chunk (harvest 0, demand the
+attempt energy).  :meth:`~SoftwareDefinedSwitch.apply_window` is the
+one-chunk case.
 """
 
 from __future__ import annotations
@@ -135,27 +140,41 @@ class SoftwareDefinedSwitch:
         lone window would be: the float operations and their order are
         those of ``Battery.charge``/``discharge``/``settle``, with the
         charge limit ``min(ψ_max, θ·capacity)`` hoisted (degradation
-        does not move within a settle).  The SoC samples reach the trace
-        and the rainflow stream through their batch APIs, state-identical
+        does not move within a settle).  The same loop validates each
+        chunk (energies not negative, SoC in [0, 1], time not before the
+        trace's last sample), clamps its SoC and accumulates the trace
+        integral as :meth:`SocTrace.append` would; nothing is stored
+        until every chunk has passed.  The samples then reach the trace
+        and the rainflow stream through
+        :meth:`~repro.battery.Battery.commit_samples`, state-identical
         to one append per chunk.  Brown-outs then publish their
         ``energy.brownout`` events and fire ``on_brownout`` in chunk
         order, with the values a chunk-by-chunk settle reports.
         """
         count = len(ends_s)
-        if count and (min(harvested_j) < 0 or min(demands_j) < 0):
-            raise ConfigurationError("energies cannot be negative")
         capacity = battery.capacity_j
         limit = min(battery.current_max_capacity_j, self._soc_cap * capacity)
         stored = battery.stored_j
+        # The trace's tail state, read here and committed through
+        # ``merge_samples``.
+        trace = battery.trace
+        prev_t = trace._last_time
+        prev_soc = trace._last_soc
+        integral = trace._weighted_integral
+        if prev_t is None and count:
+            # An empty trace: the first sample only seeds the tail, its
+            # zero-width trapezoid adds exactly 0.0.
+            prev_t, prev_soc = ends_s[0], 0.0
         green_sum = used_sum = charged_sum = spilled_sum = short_sum = 0.0
         last_charged = -1
         shortfalls: List[Tuple[int, float]] = []
-        short_socs: List[float] = []
         socs: List[float] = []
         append = socs.append
         for i in range(count):
             harvested = harvested_j[i]
             demand = demands_j[i]
+            if harvested < 0.0 or demand < 0.0:
+                raise ConfigurationError("energies cannot be negative")
             # min/max spelled as conditionals (same values, fewer calls).
             green = harvested if harvested <= demand else demand
             green_sum += green
@@ -181,10 +200,20 @@ class SoftwareDefinedSwitch:
                 short_sum += unmet
                 if unmet > BROWNOUT_J:
                     shortfalls.append((i, unmet))
-                    short_socs.append(stored / capacity)
-            append(stored / capacity)
-        battery.commit_samples(ends_s, socs, stored)
-        for (i, unmet), soc in zip(shortfalls, short_socs):
+            soc = stored / capacity
+            if not 0.0 <= soc <= 1.0 + 1e-9:
+                raise ConfigurationError(f"SoC {soc} outside [0, 1]")
+            if soc > 1.0:
+                soc = 1.0
+            t = ends_s[i]
+            if t < prev_t:
+                raise ConfigurationError("trace times must be non-decreasing")
+            integral += (t - prev_t) * (soc + prev_soc) / 2.0
+            prev_t = t
+            prev_soc = soc
+            append(soc)
+        battery.commit_samples(ends_s, socs, integral, stored)
+        for i, unmet in shortfalls:
             if self._trace is not None:
                 self._trace.emit(
                     ends_s[i],
@@ -195,7 +224,7 @@ class SoftwareDefinedSwitch:
                     shortfall_j=unmet,
                     demand_j=demands_j[i],
                     harvested_j=harvested_j[i],
-                    soc=soc,
+                    soc=socs[i],
                 )
             if self._on_brownout is not None:
                 self._on_brownout(unmet)

@@ -263,6 +263,8 @@ class Simulator:
             ),
             on_brownout=on_brownout,
             trace=self._trace,
+            link=self.link,
+            antenna_gain_db=config.gateway_antenna_gain_db,
         )
 
     # ---------------------------------------------------------- dispatching
@@ -472,7 +474,7 @@ class Simulator:
         self._events_executed += len(nodes)
         harvest = self._cohort_harvest(nodes, now)
         forecasts, held = [], []
-        for node, (powers, oracle) in zip(nodes, harvest):
+        for node, (layout, powers, oracle) in zip(nodes, harvest):
             self._hold()
             if node.packet is not None:
                 # Previous packet still in flight at its deadline: fail it.
@@ -483,7 +485,7 @@ class Simulator:
                 and node.mac.weight_is_stale(now)
             ):
                 self.injector.record_stale_weight_period()
-            forecasts.append(node.begin_period(now, powers, oracle))
+            forecasts.append(node.begin_period(now, powers, oracle, layout))
             held.append(self._release())
         self._hold()
         prof = hot_profiler()
@@ -532,14 +534,17 @@ class Simulator:
         )
 
     def _cohort_harvest(
-        self, nodes: List[EndDevice], now: float
-    ) -> List[Tuple[List[float], Optional[List[float]]]]:
-        """Every cohort node's settle powers and oracle forecast at once.
+        self, nodes: List[EndDevice], now: float, forecast: bool = True
+    ) -> List[Tuple[tuple, List[float], Optional[List[float]]]]:
+        """Every node's settle layout and powers, and oracle forecast, at once.
 
-        The points are each node's settle-chunk midpoints plus the
-        forecast-window midpoints, one row for the whole cohort (it
-        shares ``now`` and the window length).  The shared solar model
-        evaluates all of them in one
+        Each node lays out its settle to ``now`` once
+        (:meth:`~repro.sim.node.EndDevice.settle_chunks`), and the
+        layout travels with its powers to the node's settle.  The
+        points are each node's settle-chunk midpoints plus, when
+        ``forecast`` is set, the forecast-window midpoints, one row for
+        the whole cohort (it shares ``now`` and the window length).  The
+        shared solar model evaluates all of them in one
         :meth:`~repro.energy.SolarModel.power_watts_batch` call; shading
         comes from each harvester's own scalar cache, once per distinct
         (node, grid index), night points skipped — zero panel output
@@ -547,50 +552,65 @@ class Simulator:
         keep the scalar ``(solar × shade) × η`` order, and an oracle
         forecast is ``power × window`` per window, exactly
         :meth:`~repro.energy.Harvester.window_energies`.  Returns, per
-        node, its settle powers and its oracle forecast (None for other
-        forecasters, which keep calling ``forecast``).
+        node, its settle layout, its settle powers and its oracle
+        forecast (None for other forecasters, which keep calling
+        ``forecast``, and for every node when ``forecast`` is off: the
+        refresh and finalize passes only settle).
         """
         window_s = self.config.window_s
         half = window_s / 2.0
-        oracle = [type(node.forecaster) is OracleForecaster for node in nodes]
+        oracle = [
+            forecast and type(node.forecaster) is OracleForecaster
+            for node in nodes
+        ]
         widest = max(
             (n.windows_per_period for n, o in zip(nodes, oracle) if o), default=0
         )
-        mids: List[float] = []
+        starts: List[float] = []
+        durations: List[float] = []
         bounds = []
+        layouts = []
         for node in nodes:
-            starts, _, durations = node.settle_chunks(now)
-            first = len(mids)
-            mids.extend(s + d / 2.0 for s, d in zip(starts, durations))
-            bounds.append((first, len(mids)))
-        row = len(mids)
-        mids.extend(now + i * window_s + half for i in range(widest))
-        if not mids:
-            return [([], None)] * len(nodes)
-        times = np.array(mids)
+            layout = node.settle_chunks(now)
+            layouts.append(layout)
+            first = len(starts)
+            starts += layout[0]
+            durations += layout[2]
+            bounds.append((first, len(starts)))
+        row = len(starts)
+        if not row and not widest:
+            return [(layout, [], None) for layout in layouts]
+        times = np.concatenate(
+            (
+                np.array(starts) + np.array(durations) / 2.0,
+                [now + i * window_s + half for i in range(widest)],
+            )
+        )
         # All harvesters share one model (snapshots from before it was
         # shared hold equal per-node copies: the values are the same).
         solar = nodes[0].harvester.solar.power_watts_batch(times)
 
         # Harvest points: every node's settle midpoints, then each
         # oracle's forecast row; ``owner`` is the point's node.
-        index = list(range(row))
-        owner: List[int] = []
-        for k, (a, b) in enumerate(bounds):
-            owner.extend([k] * (b - a))
+        owner = np.repeat(np.arange(len(nodes)), [b - a for a, b in bounds])
+        point_times, point_solar = times, solar
         forecast_at = []
-        for k, node in enumerate(nodes):
-            if oracle[k]:
-                count = node.windows_per_period
-                forecast_at.append((k, len(index), len(index) + count))
-                index.extend(range(row, row + count))
-                owner.extend([k] * count)
-        point_times = times[index]
-        point_solar = solar[index]
-        owner = np.array(owner)
+        if widest:
+            index, owners, size = [np.arange(row)], [owner], row
+            for k, node in enumerate(nodes):
+                if oracle[k]:
+                    count = node.windows_per_period
+                    forecast_at.append((k, size, size + count))
+                    index.append(np.arange(row, row + count))
+                    owners.append(np.full(count, k))
+                    size += count
+            index = np.concatenate(index)
+            owner = np.concatenate(owners)
+            point_times = times[index]
+            point_solar = solar[index]
         harvesters = [node.harvester for node in nodes]
         steps = np.array([h.shading_step_s for h in harvesters])
-        shade = np.ones(len(index))
+        shade = np.ones(len(owner))
         day = np.flatnonzero(point_solar != 0.0)
         if len(day):
             day_owner = owner[day]
@@ -610,12 +630,38 @@ class Simulator:
         efficiency = np.array([h.efficiency for h in harvesters])[owner]
         power = (point_solar * shade) * efficiency
 
-        harvest: List[Tuple[List[float], Optional[List[float]]]] = [
-            (power[a:b].tolist(), None) for a, b in bounds
+        harvest = [
+            (layout, power[a:b].tolist(), None)
+            for layout, (a, b) in zip(layouts, bounds)
         ]
         for k, a, b in forecast_at:
-            harvest[k] = (harvest[k][0], (power[a:b] * window_s).tolist())
+            harvest[k] = harvest[k][:2] + ((power[a:b] * window_s).tolist(),)
         return harvest
+
+    #: Nodes per harvest batch of a refresh or finalize pass.  Each batch
+    #: holds its nodes' settle layouts and powers until they settle; one
+    #: batch over all 100 nodes of the ``exact_faults`` benchmark at its
+    #: finalize, where the run's heap is largest, raised the run's peak
+    #: RSS by about 0.14 MiB.
+    PASS_BATCH_NODES = 32
+
+    def _pass_harvest(self, now: float):
+        """Each node with its settle layout and powers for a settle to ``now``.
+
+        The refresh and finalize passes settle every node.  Nodes come
+        in ``self.nodes`` order, their harvest evaluated by
+        :meth:`_cohort_harvest` for :data:`PASS_BATCH_NODES` nodes at a
+        time.  A node's layout and powers depend only on its own settled
+        point, so the caller may settle (and refresh) each node before
+        the next batch is evaluated.
+        """
+        nodes = list(self.nodes.values())
+        size = self.PASS_BATCH_NODES
+        for first in range(0, len(nodes), size):
+            batch = nodes[first : first + size]
+            harvest = self._cohort_harvest(batch, now, forecast=False)
+            for node, (layout, powers, _) in zip(batch, harvest):
+                yield node, layout, powers
 
     def _batch_window_decisions(
         self,
@@ -718,8 +764,8 @@ class Simulator:
                 soc=node.battery.soc,
             )
         tokens = []
-        for index, (distance, gateway) in enumerate(
-            zip(node.placement.gateway_distances_m, self.gateways)
+        for index, (rssi, gateway) in enumerate(
+            zip(node.gateway_rssi_dbm, self.gateways)
         ):
             if self.injector is not None and self.injector.gateway_down(
                 index, now
@@ -728,11 +774,6 @@ class Simulator:
                 # there (and contributes no interference at that site).
                 self.injector.record_uplink_lost_outage()
                 continue
-            rssi = self.link.rssi_dbm(
-                node.tx_params.tx_power_dbm,
-                distance,
-                antenna_gain_db=self.config.gateway_antenna_gain_db,
-            )
             tx = Transmission(
                 node_id=node.node_id,
                 start_s=now,
@@ -861,8 +902,9 @@ class Simulator:
             )
         started = time.perf_counter()
         compacts = self.config.compaction_rule()
-        for node in self.nodes.values():
-            node.settle_to(self.queue.now_s)
+        now = self.queue.now_s
+        for node, layout, powers in self._pass_harvest(now):
+            node.settle_to(now, powers, layout)
             degradation = node.battery.refresh_degradation()
             if compacts(node.node_id):
                 node.battery.trace.compact_tail()
@@ -943,9 +985,11 @@ class Simulator:
         )
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Re-bind the live hooks pickling strips (dispatch, injector)."""
+        """Re-bind the live hooks pickling strips (dispatch, injector, links)."""
         self.__dict__.update(state)
         self._bind_queue()
+        for node in self.nodes.values():
+            node.bind_link(self.link, self.config.gateway_antenna_gain_db)
         if self.injector is not None:
             self.injector.rebind(trace=self._trace, now=self._now_clock)
 
@@ -953,10 +997,10 @@ class Simulator:
         """Settle all nodes to the end time and record final state."""
         end = self.config.duration_s
         started = time.perf_counter()
-        for node in self.nodes.values():
+        for node, layout, powers in self._pass_harvest(end):
             if node.packet is not None:
                 node.finish_packet(end, delivered=False, latency_s=node.period_s)
-            node.settle_to(end)
+            node.settle_to(end, powers, layout)
             degradation = node.battery.refresh_degradation()
             node.metrics.degradation = degradation
             breakdown = node.battery.last_breakdown

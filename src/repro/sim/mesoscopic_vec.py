@@ -299,11 +299,11 @@ def _apply_chunks(
     ``Battery.charge``/``discharge``/``settle`` per chunk, bit for bit:
     same min/max/accumulation order, the extra (transmission) demand
     added to the final chunk only.  The recurrence itself runs through
-    :func:`repro.kernels.settle.recurrence`;
-    the resulting SoC samples then feed the trace monotone-run merge
-    and the streaming-rainflow replay kernel — the semantics are the
-    batch-API ones of ``SocTrace.extend_batch`` /
-    ``StreamingRainflow.extend_batch``, sample for sample.  The charge
+    :func:`repro.kernels.settle.recurrence`, which validates, clamps
+    and integrates the SoC samples; they then go through the trace's
+    one merge rule (``SocTrace.merge_samples``) and the streaming-
+    rainflow replay kernel (``StreamingRainflow.extend_batch``), state-
+    identical to one append and one push per sample.  The charge
     limit is hoisted — degradation is constant between refreshes, so
     ``min(current_max, θ·capacity)`` is loop-invariant.  Returns the
     shortfall, the kernel's short chunks and the SoC samples.
@@ -313,10 +313,8 @@ def _apply_chunks(
     prev_t, prev_c = trace._last_time, trace._last_soc
     if prev_t is not None and ends[0] < prev_t:
         raise ConfigurationError("trace times must be non-decreasing")
-    if trace._start_time is None:
-        trace._start_time = ends[0]
     have_prev = prev_t is not None
-    socs, stored, shortfall, integral, prev_t, prev_c, short = ksettle.recurrence(
+    socs, stored, shortfall, integral, _, _, short = ksettle.recurrence(
         ends,
         durations,
         powers,
@@ -333,31 +331,8 @@ def _apply_chunks(
         prev_c if have_prev else 0.0,
         trace._weighted_integral,
     )
-    # Trace merge, inlined from SocTrace.append's monotone-continuation
-    # rule: a sample extending the tail's run rewrites the tail point.
-    ts, ss = trace.times, trace.socs
-    for i, clamped in enumerate(socs):
-        t = ends[i]
-        if len(ss) >= 2:
-            prev, tail_s = ss[-2], ss[-1]
-            if tail_s > prev:
-                cont = clamped >= tail_s
-            elif tail_s < prev:
-                cont = clamped <= tail_s
-            else:
-                cont = clamped == tail_s
-        else:
-            cont = False
-        if cont:
-            ts[-1] = t
-            ss[-1] = clamped
-        else:
-            ts.append(t)
-            ss.append(clamped)
+    trace.merge_samples(ends, socs, integral)
     krainflow.replay(battery._incremental._stream, socs)
-    trace._weighted_integral = integral
-    trace._last_time = prev_t
-    trace._last_soc = prev_c
     battery.stored_j = stored
     battery._now_s = ends[len(ends) - 1]
     return shortfall, short, socs

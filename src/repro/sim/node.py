@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..battery import Battery, TransitionReport
@@ -23,7 +25,7 @@ from ..core import (
 )
 from ..energy import EnergyForecaster, Harvester, SoftwareDefinedSwitch
 from ..exceptions import ConfigurationError, InvariantError
-from ..lora import ChannelHopper, EnergyModel, TxParams, airtime_table
+from ..lora import ChannelHopper, EnergyModel, LogDistanceLink, TxParams, airtime_table
 from .metrics import NodeMetrics
 from .packetlog import PacketLog, PacketRecord
 from .topology import NodePlacement
@@ -65,6 +67,8 @@ class EndDevice:
         retrier: Optional[ConfirmedUplinkRetrier] = None,
         on_brownout: Optional[Callable[[float], None]] = None,
         trace=None,
+        link: Optional[LogDistanceLink] = None,
+        antenna_gain_db: float = 0.0,
     ) -> None:
         if window_s <= 0:
             raise ConfigurationError("window must be positive")
@@ -97,6 +101,7 @@ class EndDevice:
         self.tx_energy_j = entry.tx_energy_j
         #: Battery cost of one attempt incl. the class-A receive windows.
         self.attempt_energy_j = entry.attempt_energy_j
+        self.bind_link(link, antenna_gain_db)
 
         self.switch = SoftwareDefinedSwitch(
             soc_cap=mac.soc_cap, on_brownout=on_brownout
@@ -118,9 +123,14 @@ class EndDevice:
     # -------------------------------------------------------- checkpointing
 
     def __getstate__(self):
-        """Snapshot without the process-wide PHY lookup table."""
+        """Snapshot without the process-wide PHY lookup table or the link.
+
+        The link and the RSSI derived from it are the engine's; it binds
+        them again on resume (:meth:`bind_link`).
+        """
         state = dict(self.__dict__)
-        state.pop("_airtime_table", None)
+        for derived in ("_airtime_table", "_link", "gateway_rssi_dbm"):
+            state.pop(derived, None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -128,6 +138,31 @@ class EndDevice:
         # Shared-table lookup is keyed by the (frozen, hashable) energy
         # model, so the resumed node rejoins the process-wide cache.
         self._airtime_table = airtime_table(self.energy_model)
+        self.bind_link(None)
+
+    def bind_link(
+        self, link: Optional[LogDistanceLink], antenna_gain_db: float = 0.0
+    ) -> None:
+        """Attach the link the node's uplinks cross to every gateway.
+
+        :attr:`gateway_rssi_dbm` then holds the node's RSSI at each
+        gateway of ``placement.gateway_distances_m`` for its current TX
+        power, and :meth:`update_tx_params` recomputes it; without a
+        link it is None.
+        """
+        self._link = None if link is None else (link, antenna_gain_db)
+        self._update_rssi()
+
+    def _update_rssi(self) -> None:
+        if self._link is None:
+            self.gateway_rssi_dbm = None
+            return
+        link, gain = self._link
+        power = self.tx_params.tx_power_dbm
+        self.gateway_rssi_dbm = tuple(
+            link.rssi_dbm(power, distance, antenna_gain_db=gain)
+            for distance in self.placement.gateway_distances_m
+        )
 
     # ------------------------------------------------------------ properties
 
@@ -142,6 +177,7 @@ class EndDevice:
         self.airtime_s = entry.airtime_s
         self.tx_energy_j = entry.tx_energy_j
         self.attempt_energy_j = entry.attempt_energy_j
+        self._update_rssi()
 
     @property
     def node_id(self) -> int:
@@ -168,72 +204,141 @@ class EndDevice:
         Chunks are forecast-window sized from the settled point on; a
         partial final chunk ends exactly at ``now_s``.  Each chunk's
         harvest is its power at ``start + duration / 2`` times its
-        duration.
+        duration.  Each chunk starts where the one before it ended.
         """
-        starts: List[float] = []
         ends: List[float] = []
+        append = ends.append
         window_s = self.window_s
         stop = now_s - 1e-9
         cursor = self._settled_until_s
         while cursor < stop:
-            chunk_end = cursor + window_s
-            if not chunk_end < now_s:
-                chunk_end = now_s
-            starts.append(cursor)
-            ends.append(chunk_end)
-            cursor = chunk_end
-        return starts, ends, [end - start for start, end in zip(starts, ends)]
+            cursor = cursor + window_s
+            if not cursor < now_s:
+                cursor = now_s
+            append(cursor)
+        if not ends:
+            return [], ends, []
+        starts = [self._settled_until_s]
+        starts += ends[:-1]
+        return starts, ends, list(map(sub, ends, starts))
 
     def settle_to(
-        self, now_s: float, powers: Optional[Sequence[float]] = None
+        self,
+        now_s: float,
+        powers: Optional[Sequence[float]] = None,
+        layout: Optional[Tuple[list, list, list]] = None,
     ) -> None:
         """Apply harvested energy and sleep demand up to ``now_s``.
 
         The :meth:`settle_chunks` chunks go through the software-defined
         switch in one :meth:`~repro.energy.SoftwareDefinedSwitch.apply_chunks`
         pass, so the SoC trace gains at most one point per window — the
-        paper's discrete-time trace granularity.  ``powers`` are the
-        harvester's powers at the chunk midpoints when the caller has
-        evaluated them already (the batched exact engine does, once per
-        period cohort); otherwise the scalar harvester supplies them.
+        paper's discrete-time trace granularity.  The batched exact
+        engine lays out and evaluates every cohort node's chunks at
+        once and hands both over: ``layout`` is this settle's
+        :meth:`settle_chunks` result and ``powers`` the harvester's
+        powers at its chunk midpoints.  Without them the node lays out
+        its own chunks and the scalar harvester supplies the powers.
+        Powers whose count is not the layout's chunk count, or a layout
+        that does not run from the settled point to ``now_s`` (one laid
+        out before another settle, or for another instant), raise
+        :class:`~repro.exceptions.InvariantError`.
         """
         if now_s < self._settled_until_s:
             raise InvariantError("cannot settle backwards in time")
-        starts, ends, durations = self.settle_chunks(now_s)
+        if layout is None:
+            layout = self.settle_chunks(now_s)
+        elif not self._spans(layout, now_s):
+            raise InvariantError(
+                "settle layout does not run from the settled point to now"
+            )
+        starts, ends, durations = layout
         if powers is None:
-            power = self.harvester.power_watts
-            powers = [
-                power(start + duration / 2.0)
-                for start, duration in zip(starts, durations)
-            ]
+            powers = self._scalar_powers(starts, durations)
+        elif len(powers) != len(ends):
+            raise InvariantError(
+                f"{len(powers)} settle powers for {len(ends)} chunks"
+            )
+        self._apply_chunks(now_s, starts, ends, durations, powers)
+
+    def _spans(self, layout, now_s: float) -> bool:
+        """Whether ``layout`` is what :meth:`settle_chunks` lays out now."""
+        starts, ends, durations = layout
+        count = len(ends)
+        if len(starts) != count or len(durations) != count:
+            return False
+        if not count:
+            return not self._settled_until_s < now_s - 1e-9
+        return (
+            starts[0] == self._settled_until_s
+            and not ends[-1] < now_s - 1e-9
+            and ends[-1] <= now_s
+        )
+
+    def _scalar_powers(self, starts, durations) -> List[float]:
+        """The harvester's power at each chunk midpoint, one at a time."""
+        power = self.harvester.power_watts
+        return [
+            power(start + duration / 2.0)
+            for start, duration in zip(starts, durations)
+        ]
+
+    def _apply_chunks(
+        self,
+        now_s: float,
+        starts: Sequence[float],
+        ends: List[float],
+        durations: Sequence[float],
+        powers: Sequence[float],
+        attempt_j: Optional[float] = None,
+    ):
+        """One switch pass over the chunks; returns its ``SettleResult``.
+
+        ``attempt_j``, when given, is a transmission attempt's battery
+        cost, settled as a zero-length last chunk ending at ``now_s``
+        (harvest 0; ``ends`` gains that chunk).  It cannot charge, so
+        the last recharge the packet reports is always a settle chunk.
+        """
         sleep_watts = self.energy_model.power_profile.sleep_watts
-        last = self.switch.apply_chunks(
-            self.battery,
-            [p * duration for p, duration in zip(powers, durations)],
-            [sleep_watts * duration for duration in durations],
-            ends,
-        ).last_charged
+        harvested = list(map(mul, powers, durations))
+        demands = list(map(mul, repeat(sleep_watts), durations))
+        if attempt_j is not None:
+            harvested.append(0.0)
+            demands.append(attempt_j)
+            ends.append(now_s)
+        result = self.switch.apply_chunks(self.battery, harvested, demands, ends)
+        last = result.last_charged
         if last >= 0 and self.packet is not None:
             window = int((starts[last] - self.packet.period_start_s) // self.window_s)
             if window >= 0:
                 self.packet.last_recharge_window = min(window, 0xFE)
         self._settled_until_s = now_s
+        return result
 
     def draw_attempt_energy(self, now_s: float) -> bool:
-        """Draw one attempt's battery cost at ``now_s``; False on brown-out.
+        """Settle to ``now_s`` and draw one attempt's battery cost.
 
-        Harvest during the sub-second attempt itself is negligible; the
-        switch draws the full attempt energy from the battery (after
-        :meth:`settle_to` has credited harvest up to now).
+        Harvest during the sub-second attempt itself is negligible: the
+        attempt is the settle's zero-length last chunk, drawing the full
+        attempt energy from the battery after the chunks before it have
+        credited harvest up to now — the values and event order of a
+        :meth:`settle_to` followed by a one-window
+        :meth:`~repro.energy.SoftwareDefinedSwitch.apply_window`, in one
+        switch pass.  Returns False when that chunk browns out.
         """
-        self.settle_to(now_s)
-        result = self.switch.apply_window(
-            self.battery,
-            harvested_j=0.0,
-            demand_j=self.attempt_energy_j,
-            window_end_s=now_s,
-        )
-        return result.balanced
+        if now_s < self._settled_until_s:
+            raise InvariantError("cannot settle backwards in time")
+        starts, ends, durations = self.settle_chunks(now_s)
+        attempt = len(ends)
+        shortfalls = self._apply_chunks(
+            now_s,
+            starts,
+            ends,
+            durations,
+            self._scalar_powers(starts, durations),
+            self.attempt_energy_j,
+        ).shortfalls
+        return not shortfalls or shortfalls[-1][0] != attempt
 
     # ------------------------------------------------------------- protocol
 
@@ -242,17 +347,18 @@ class EndDevice:
         now_s: float,
         powers: Optional[Sequence[float]] = None,
         forecast: Optional[List[float]] = None,
+        layout: Optional[Tuple[list, list, list]] = None,
     ):
         """Settle, count the generated packet, and forecast this period.
 
         First half of a period start; the exact engine runs it for every
         same-instant node before computing the window decisions in one
-        vector pass, passing the settle ``powers`` and (for an oracle
-        forecaster) the ``forecast`` from its cohort-wide harvest
-        evaluation.  Returns the green-energy forecast the MAC decision
-        needs.
+        vector pass, passing the settle ``layout`` and ``powers`` (see
+        :meth:`settle_to`) and, for an oracle forecaster, the
+        ``forecast`` from its cohort-wide harvest evaluation.  Returns
+        the green-energy forecast the MAC decision needs.
         """
-        self.settle_to(now_s, powers)
+        self.settle_to(now_s, powers, layout)
         self.metrics.record_generated()
         if forecast is not None:
             return forecast

@@ -1,21 +1,26 @@
 """Batch ingestion APIs are state-identical to sequential pushes.
 
-``SocTrace.extend_batch``, ``StreamingRainflow.extend_batch`` and
-``IncrementalDegradation.push_batch`` exist so the vectorized sweep can
-hand over whole settle chunks at once; their contract is that the final
-object state — not just derived summaries — matches feeding the same
-samples one at a time.  These property-style tests sweep randomized SoC
-series (plateaus, monotone runs, reversals, clamped 1.0 samples) through
-both routes and compare everything.
+``SocTrace.merge_samples``, ``StreamingRainflow.extend_batch`` and
+``IncrementalDegradation.push_batch`` exist so the settle passes of both
+engines can hand over whole runs of settle chunks at once; their
+contract is that the final object state — not just derived summaries —
+matches feeding the same samples one at a time.  These property-style
+tests sweep randomized SoC series (plateaus, monotone runs, reversals,
+clamped 1.0 samples) through both routes and compare everything.
+``merge_samples`` trusts its caller to have validated, clamped and
+integrated the samples; the switch's settle pass does that, and a run it
+rejects leaves the trace untouched.
 """
 
 import random
 
 import pytest
 
+from repro.battery import Battery
 from repro.battery.incremental import IncrementalDegradation
 from repro.battery.rainflow import StreamingRainflow, count_cycles
 from repro.battery.soc_trace import SocTrace
+from repro.energy import SoftwareDefinedSwitch
 from repro.exceptions import ConfigurationError
 
 
@@ -38,7 +43,37 @@ def random_series(rng, n):
     return series[:n]
 
 
+def merge_batch(trace, times, socs):
+    """Extend ``trace`` by a run through ``merge_samples``.
+
+    Clamps the samples and accumulates the integral with ``append``'s
+    per-sample expression, the preparation the settle passes do in
+    their own loops.
+    """
+    clamped = [min(soc, 1.0) for soc in socs]
+    integral = trace._weighted_integral
+    prev_t, prev_s = trace._last_time, trace._last_soc
+    for t, s in zip(times, clamped):
+        if prev_t is not None:
+            integral += (t - prev_t) * (s + prev_s) / 2.0
+        prev_t, prev_s = t, s
+    trace.merge_samples(times, clamped, integral)
+
+
+def trace_state(trace):
+    return (
+        trace.times,
+        trace.socs,
+        trace._weighted_integral,
+        trace._start_time,
+        trace._last_time,
+        trace._last_soc,
+    )
+
+
 class TestSocTraceExtendBatch:
+    """A run of samples extends a trace through ``merge_samples``."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_state_identical_to_sequential_append(self, seed):
         rng = random.Random(seed)
@@ -49,14 +84,9 @@ class TestSocTraceExtendBatch:
         for t, s in zip(times, socs):
             sequential.append(t, s)
         batched = SocTrace()
-        batched.extend_batch(times, socs)
+        merge_batch(batched, times, socs)
 
-        assert batched.times == sequential.times
-        assert batched.socs == sequential.socs
-        assert batched._weighted_integral == sequential._weighted_integral
-        assert batched._start_time == sequential._start_time
-        assert batched._last_time == sequential._last_time
-        assert batched._last_soc == sequential._last_soc
+        assert trace_state(batched) == trace_state(sequential)
 
     def test_batch_after_appends_continues_state(self):
         rng = random.Random(7)
@@ -70,27 +100,35 @@ class TestSocTraceExtendBatch:
         mixed = SocTrace()
         for t, s in zip(times[:split], socs[:split]):
             mixed.append(t, s)
-        mixed.extend_batch(times[split:], socs[split:])
+        merge_batch(mixed, times[split:], socs[split:])
 
-        assert mixed.times == sequential.times
-        assert mixed.socs == sequential.socs
-        assert mixed._weighted_integral == sequential._weighted_integral
+        assert trace_state(mixed) == trace_state(sequential)
 
     def test_empty_batch_is_noop(self):
         trace = SocTrace()
         trace.append(0.0, 0.5)
-        trace.extend_batch([], [])
-        assert trace.socs == [0.5]
+        before = trace_state(trace)
+        trace.merge_samples([], [], 123.0)
+        assert trace_state(trace) == before
 
     def test_invalid_soc_rejects_batch(self):
-        trace = SocTrace()
+        battery = Battery(capacity_j=10.0, initial_soc=0.5)
+        switch = SoftwareDefinedSwitch()
+        switch.apply_window(battery, 0.0, 0.0, 60.0)
+        before = trace_state(battery.trace)
+        battery.stored_j = 15.0  # SoC 1.5: only a corrupted battery holds it
         with pytest.raises(ConfigurationError):
-            trace.extend_batch([0.0, 1.0], [0.5, 1.5])
+            switch.apply_chunks(battery, [0.0, 0.0], [0.0, 0.0], [120.0, 180.0])
+        assert trace_state(battery.trace) == before
 
     def test_decreasing_times_reject_batch(self):
-        trace = SocTrace()
+        battery = Battery(capacity_j=10.0, initial_soc=0.5)
+        switch = SoftwareDefinedSwitch()
+        before = trace_state(battery.trace)
         with pytest.raises(ConfigurationError):
-            trace.extend_batch([10.0, 5.0], [0.5, 0.6])
+            switch.apply_chunks(battery, [0.0, 0.0], [0.1, 0.1], [10.0, 5.0])
+        assert trace_state(battery.trace) == before
+        assert battery.stored_j == 5.0
 
 
 class TestStreamingRainflowExtendBatch:

@@ -96,6 +96,48 @@ class TestEnergySettlement:
         with pytest.raises(InvariantError):
             device.settle_to(50.0)
 
+    def test_settle_with_handed_layout_and_powers_matches_scalar(self):
+        handed, scalar = make_device(soc=0.2), make_device(soc=0.2)
+        now = NOON + 90.0
+        layout = handed.settle_chunks(now)
+        powers = [
+            handed.harvester.power_watts(start + duration / 2.0)
+            for start, _, duration in zip(*layout)
+        ]
+        handed.settle_to(now, powers, layout)
+        scalar.settle_to(now)
+        assert handed.battery.stored_j == scalar.battery.stored_j
+        assert handed.battery.trace.socs == scalar.battery.trace.socs
+
+    def test_settle_rejects_powers_of_another_count(self):
+        from repro.exceptions import InvariantError
+
+        device = make_device()
+        layout = device.settle_chunks(600.0)
+        with pytest.raises(InvariantError):
+            device.settle_to(600.0, [0.0] * (len(layout[1]) - 1), layout)
+        with pytest.raises(InvariantError):
+            device.settle_to(600.0, [0.0] * (len(layout[1]) + 1))
+        assert device.battery.trace.last_time == 0.0
+
+    def test_settle_rejects_a_layout_of_another_settle(self):
+        from repro.exceptions import InvariantError
+
+        device = make_device()
+        stale = device.settle_chunks(600.0)
+        device.settle_to(120.0)
+        # Laid out before the settle to 120 s: it starts at 0 s.
+        with pytest.raises(InvariantError):
+            device.settle_to(600.0, [0.0] * len(stale[1]), stale)
+        # Laid out for another instant: it ends short of 900 s.
+        with pytest.raises(InvariantError):
+            early = device.settle_chunks(600.0)
+            device.settle_to(900.0, [0.0] * len(early[1]), early)
+        # An empty layout cannot settle across a chunk.
+        with pytest.raises(InvariantError):
+            device.settle_to(900.0, [], ([], [], []))
+        assert device.battery.trace.last_time == 120.0
+
     def test_draw_attempt_energy_success(self):
         device = make_device(soc=0.5)
         before = device.battery.stored_j
