@@ -37,12 +37,14 @@ import pickle
 import random
 import struct
 import sys
-from typing import BinaryIO, Callable, Dict, Optional, Tuple
+import types
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import CheckpointError
 from ..ioutil import atomic_open, atomic_write_bytes
 from ..obs.profiling import config_hash
 from ..obs.trace import JsonlSink
+from . import retired
 
 #: Checkpoint envelope format; bump on breaking layout changes.
 FORMAT = "repro.checkpoint/2"
@@ -66,7 +68,6 @@ def save_checkpoint(
     directory: str,
     time_s: float,
     engine: str,
-    keep_last: int = KEEP_LAST,
 ) -> str:
     """Pickle ``sim`` into ``directory`` and return the file path.
 
@@ -103,7 +104,7 @@ def save_checkpoint(
         header["payload_bytes"] = sink.size
         handle.seek(0)
         handle.write(_header_line(header).ljust(slot))
-    _prune(directory, keep_last)
+    _prune(directory)
     if _post_save_hook is not None:
         _post_save_hook(path, time_s)
     return path
@@ -160,6 +161,44 @@ class _SnapshotPickler(pickle.Pickler):
         self.dispatch_table = {**copyreg.dispatch_table, random.Random: _reduce_random}
 
 
+class _SnapshotUnpickler(pickle.Unpickler):
+    """The counterpart of :class:`_SnapshotPickler`: globals listed in
+    :mod:`.retired` load through its table.  A retired class loads as a
+    ``SimpleNamespace``; a class holding retired state loads as a
+    throwaway subclass whose instances shed it, then become plain."""
+
+    def find_class(self, module: str, name: str):
+        key = (module, name)
+        if key in retired.CLASSES:
+            return types.SimpleNamespace
+        cls = super().find_class(module, name)
+        if key not in _HOLDERS:
+            return cls
+
+        def __setstate__(obj, state: Dict[str, object]) -> None:
+            object.__setattr__(obj, "__class__", cls)
+            for field in retired.ATTRIBUTES.get(key, ()):
+                state.pop(field, None)
+            for field, (legal, reason) in retired.FIELDS.items() if key == retired.CONFIG else ():
+                if field in state and legal is not None and state[field] not in legal:
+                    raise CheckpointError(f"retired {field}={state[field]!r} ({reason})")
+                if field not in cls.__dataclass_fields__:
+                    state.pop(field, None)
+            for holder, attribute, convert in retired.CLASSES.values():
+                if holder == key:
+                    state[attribute] = [
+                        convert(e) if type(e) is types.SimpleNamespace else e
+                        for e in state[attribute]
+                    ]
+            obj.__dict__.update(state)
+
+        return type(name, (cls,), {"__slots__": (), "__setstate__": __setstate__})
+
+
+#: Globals of the classes whose instances hold retired state.
+_HOLDERS = {retired.CONFIG, *retired.ATTRIBUTES, *(c[0] for c in retired.CLASSES.values())}
+
+
 def read_header(path: str) -> Dict[str, object]:
     """Parse and validate a checkpoint's JSON header without unpickling."""
     try:
@@ -211,10 +250,9 @@ def load_checkpoint(
     The payload is rejected before unpickling when its SHA-256 does not
     match the header (truncation, bit rot, torn copy) and when
     ``expected_config_hash`` is given but differs (resuming a grid cell
-    against the wrong config), and after unpickling when it was written
-    with the retired ``incremental_degradation=False``.  It is verified
-    in chunks and then unpickled from the file, so no payload-sized
-    buffer is built.
+    against the wrong config), and while unpickling when it holds a retired
+    config field at a value no run resumes with.  It is verified in chunks
+    and then unpickled from the file, so no payload-sized buffer is built.
     """
     try:
         handle = open(path, "rb")
@@ -244,45 +282,30 @@ def load_checkpoint(
             )
         handle.seek(start)
         try:
-            sim = pickle.load(handle)
+            sim = _SnapshotUnpickler(handle).load()
         except Exception as exc:
             raise CheckpointError(
                 f"checkpoint {path!r} failed to unpickle: {exc}"
             ) from exc
-    # Snapshots from before the batch degradation refresh was retired
-    # still pickle its flag; a run that used it has batteries without a
-    # streaming accumulator, which cannot continue.
-    config = getattr(sim, "config", None)
-    if getattr(config, "incremental_degradation", True) is False:
-        raise CheckpointError(
-            f"checkpoint {path!r} was written with the retired "
-            f"incremental_degradation=False (batch degradation refresh); "
-            f"its batteries have no streaming accumulator to resume"
-        )
     return sim, header
 
 
 def latest_checkpoint(directory: str) -> Optional[str]:
     """Path of the newest checkpoint in ``directory``, or None."""
     try:
-        names = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith("ckpt-") and name.endswith(".ckpt")
-        )
+        names = _checkpoint_names(directory)
     except OSError:
         return None
     return os.path.join(directory, names[-1]) if names else None
 
 
-def _prune(directory: str, keep_last: int) -> None:
-    """Drop all but the newest ``keep_last`` checkpoints."""
-    names = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith("ckpt-") and name.endswith(".ckpt")
-    )
-    for name in names[:-keep_last] if keep_last > 0 else names:
+def _checkpoint_names(directory: str) -> List[str]:
+    return sorted(n for n in os.listdir(directory) if n.startswith("ckpt-") and n.endswith(".ckpt"))
+
+
+def _prune(directory: str) -> None:
+    """Drop all but the newest :data:`KEEP_LAST` checkpoints."""
+    for name in _checkpoint_names(directory)[:-KEEP_LAST]:
         try:
             os.unlink(os.path.join(directory, name))
         except OSError:
@@ -324,14 +347,10 @@ def _reattach_trace(sim: object) -> None:
     an append-mode sink keeps the resumed run's trace file
     byte-identical to an uninterrupted run's.
     """
-    obs = getattr(sim, "obs", None)
-    bus = getattr(obs, "trace", None) if obs is not None else None
-    if bus is None:
+    bus = getattr(getattr(sim, "obs", None), "trace", None)
+    if bus is None or bus._sink_path is None:
         return
-    path = getattr(bus, "_sink_path", None)
-    written = getattr(bus, "_sink_written", None)
-    if path is None or written is None:
-        return
+    path, written = bus._sink_path, bus._sink_written
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()

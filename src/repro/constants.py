@@ -6,8 +6,6 @@ Celsius (the battery model's equations are written for Celsius and convert
 to Kelvin internally).
 """
 
-SECONDS_PER_MINUTE = 60.0
-SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 DAYS_PER_YEAR = 365.0
 SECONDS_PER_YEAR = SECONDS_PER_DAY * DAYS_PER_YEAR
@@ -18,9 +16,6 @@ CELSIUS_TO_KELVIN_OFFSET = 273.0
 
 #: Speed of light in m/s, used by the free-space path-loss reference term.
 SPEED_OF_LIGHT = 299_792_458.0
-
-#: Boltzmann constant (J/K) for thermal-noise-floor computation.
-BOLTZMANN = 1.380649e-23
 
 #: Reference thermal noise floor for a 125 kHz LoRa channel at 290 K,
 #: in dBm: ``-174 + 10*log10(BW)``.

@@ -152,9 +152,7 @@ class DegradationService:
 
     def max_degradation(self) -> float:
         """``D_max`` across the network (0 for an empty network)."""
-        # getattr: checkpoints written before the cache existed unpickle
-        # without these attributes; treat them as dirty.
-        if getattr(self, "_max_dirty", True):
+        if self._max_dirty:
             self._max_cache = (
                 max(state.degradation for state in self._nodes.values())
                 if self._nodes

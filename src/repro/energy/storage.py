@@ -164,8 +164,3 @@ class HybridStorage:
         """Eq. (20) extended with the supercap's stored energy."""
         available = battery.stored_j + self.supercap.stored_j + harvested_j
         return available + 1e-12 >= demand_j
-
-    @property
-    def total_stored_j(self) -> float:
-        """Energy buffered in the supercap (battery tracked separately)."""
-        return self.supercap.stored_j

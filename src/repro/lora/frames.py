@@ -46,11 +46,6 @@ class MType(enum.IntEnum):
     CONFIRMED_DOWN = 0b101
     PROPRIETARY = 0b111
 
-    @property
-    def is_uplink(self) -> bool:
-        """Whether this MType travels node → network."""
-        return self in (MType.CONFIRMED_UP, MType.UNCONFIRMED_UP, MType.JOIN_REQUEST)
-
 
 @dataclass(frozen=True)
 class FCtrl:

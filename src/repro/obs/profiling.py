@@ -187,49 +187,43 @@ class Profiler:
         return {"_timings": timings, "_active": None, "_started_at": 0.0}
 
 
+#: Fields that never change results: checkpoint settings, tracing, retention
+#: and the shard count (only sharded vs. unsharded, a semantic switch, is hashed).
+_UNHASHED = (
+    "checkpoint_every_s", "checkpoint_dir", "trace", "trace_path", "trace_categories",
+    "sample_nodes", "shards",
+)
+
+
 def config_hash(config: object) -> str:
     """Stable short hash identifying a :class:`SimulationConfig`.
 
-    Hashes the sorted-key JSON of the dataclass tree (enums and other
-    non-JSON leaves serialize via ``str``), so two configs hash equal
-    iff their field values are equal — the manifest's "same run?" key.
+    Hashes :data:`~repro.checkpoint.retired.CONFIG_SCHEMA` and the sorted-key JSON
+    of the fields that differ from their default (nested dataclasses alike,
+    other non-JSON leaves via ``str``), except :data:`_UNHASHED` and the
+    retired ones, so adding or deleting a field at its default keeps every hash.
     """
-    if dataclasses.is_dataclass(config):
-        payload = dataclasses.asdict(config)
-    else:
-        payload = config  # pragma: no cover - convenience for plain dicts
-    if isinstance(payload, dict):
-        # Observability settings never alter simulation results —
-        # checkpoint cadence/location (a resumed run in a fresh
-        # checkpoint directory hashes equal to its reference run) and
-        # tracing (bit-identical metrics with or without a trace sink,
-        # so a traced service run hashes equal to the plain CLI run).
-        payload = {
-            key: value
-            for key, value in payload.items()
-            if key
-            not in (
-                "checkpoint_every_s",
-                "checkpoint_dir",
-                "trace",
-                "trace_path",
-                "trace_categories",
-                # Retention-only: which nodes keep full history never
-                # changes simulation results.
-                "sample_nodes",
-                # Retired flag (one legal value); old snapshots may
-                # still hold False, which never changed results.
-                "exact_batched",
-            )
-        }
-        if "shards" in payload:
-            # The shard count only packs gateway cells into worker
-            # processes; any count yields identical results.  Sharded
-            # vs. unsharded *is* a semantic switch (per-cell contention
-            # domains), so only that bit enters the hash.
-            payload["shards"] = payload["shards"] is not None
-    text = json.dumps(payload, sort_keys=True, default=str)
+    from ..checkpoint.retired import CONFIG_SCHEMA, FIELDS
+
+    payload = _changed(config)
+    for name in (*_UNHASHED, *FIELDS):
+        payload.pop(name, None)
+    payload["shards"] = config.shards is not None
+    text = json.dumps([CONFIG_SCHEMA, payload], sort_keys=True, default=_changed)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _changed(value: object) -> object:
+    """JSON form of a config value: a dataclass as its fields that differ
+    from their default, any other non-JSON leaf as ``str``."""
+    if not dataclasses.is_dataclass(value):
+        return str(value)
+    return {
+        spec.name: getattr(value, spec.name)
+        for spec in dataclasses.fields(value)
+        if getattr(value, spec.name)
+        != (spec.default if spec.default_factory is dataclasses.MISSING else spec.default_factory())
+    }
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:

@@ -41,17 +41,6 @@ from ..ioutil import atomic_write_json
 from ..sweep.spec import SPEC_KEYS, grid_size, spec_duration_s
 from .http import HttpError
 
-#: States a run moves through (terminal ones after ``running``).
-STATES = (
-    "queued",
-    "running",
-    "completed",
-    "completed-with-errors",
-    "cancelled",
-    "interrupted",
-    "failed",
-)
-
 _SIMULATE_KEYS = frozenset(
     {
         "kind",

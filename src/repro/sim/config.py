@@ -123,11 +123,8 @@ class SimulationConfig:
     w_u_ttl_s: Optional[float] = None
 
     # ----------------------------------------------------------- performance
-    #: Retired: the exact engine has one PERIOD drain, the batched one.
-    #: Only ``True`` is accepted and nothing reads the field; it stays
-    #: because the benchmark still passes ``exact_batched=True``, and is
-    #: removed once the benchmark stops passing it.  Excluded from the
-    #: config identity hash.
+    #: Retired (:mod:`repro.checkpoint.retired`): only ``True`` is accepted,
+    #: nothing reads it, and it goes once the benchmark stops passing it.
     exact_batched: bool = True
 
     # ----------------------------------------------------------------- scale

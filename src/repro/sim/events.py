@@ -29,14 +29,6 @@ EventDispatch = Callable[[str, Tuple[object, ...]], None]
 EventBatchDispatch = Callable[[str, List[Tuple[object, ...]]], None]
 
 
-class _ScheduledEvent:
-    """Heap entry of snapshots written before the heap held tuples.
-
-    Unpickling such a snapshot fills each instance's ``__dict__`` with
-    the old fields; :meth:`EventQueue.__setstate__` turns it into a tuple.
-    """
-
-
 class EventQueue:
     """The simulation clock and pending-event heap."""
 
@@ -153,13 +145,3 @@ class EventQueue:
         state["dispatch"] = None
         state["dispatch_batch"] = None
         return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._heap = [
-            entry
-            if type(entry) is tuple
-            else (entry.time_s, entry.priority, entry.sequence, entry.kind, entry.args)
-            for entry in self._heap
-        ]
-        heapq.heapify(self._heap)

@@ -52,11 +52,6 @@ class Gateway:
         """ω — demodulators available at this gateway."""
         return self._omega
 
-    @property
-    def locked_count(self) -> int:
-        """Receptions currently holding a demodulator."""
-        return self._locked_count
-
     def begin_reception(self, tx: Transmission, params: TxParams) -> ReceptionToken:
         """Register the start of an uplink at the gateway.
 

@@ -23,6 +23,7 @@ from repro.checkpoint import (
     resume,
     save_checkpoint,
 )
+from repro.checkpoint import core as checkpoint_core
 from repro.constants import SECONDS_PER_DAY
 from repro.exceptions import SimulationInterrupted
 from repro.faults import FaultPlan
@@ -191,7 +192,7 @@ class TestMesoscopicEngine:
         """A snapshot written when every node carried an ``rng`` and every
         harvester a ``_rng_scratch`` (pickled as None: a C generator does
         not pickle) resumes to the pinned digests; the retired attributes
-        load as unread leftovers."""
+        are dropped on load."""
         ckdir = str(tmp_path / "ckpts")
         config = meso_config(
             checkpoint_every_s=CADENCES["midday"], checkpoint_dir=ckdir
@@ -209,8 +210,8 @@ class TestMesoscopicEngine:
 
         resumed, _ = resume(path)
         nodes = list(resumed.nodes.values())
-        assert all(isinstance(node.rng, random.Random) for node in nodes)
-        assert all(hasattr(node.harvester, "_rng_scratch") for node in nodes)
+        assert not any(hasattr(node, "rng") for node in nodes)
+        assert not any(hasattr(node.harvester, "_rng_scratch") for node in nodes)
         expected = golden.load()["resume"]
         assert golden.result_digests(resumed.run()) == {
             key: value for key, value in expected.items() if key != "trace"
@@ -342,12 +343,7 @@ class TestLookaheadEpochResume:
         # its node's next period start, so the resumed sweep must
         # rebuild that pending resolve time from the window buckets.
         # Every snapshot is kept and resumed from a copy.
-        save = mesoscopic.save_checkpoint
-        monkeypatch.setattr(
-            mesoscopic,
-            "save_checkpoint",
-            lambda *args, **kwargs: save(*args, keep_last=10**6, **kwargs),
-        )
+        monkeypatch.setattr(checkpoint_core, "KEEP_LAST", 10**6)
         config = meso_config(
             node_count=10,
             radius_m=4000.0,

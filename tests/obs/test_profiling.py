@@ -1,11 +1,14 @@
 """Tests for profiling phases, config hashing, and the run manifest."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan, NodeReboot
 from repro.obs import Profiler, RunManifest, config_hash, git_revision
+from repro.checkpoint import retired
 from repro.sim import SimulationConfig
 
 
@@ -55,6 +58,49 @@ class TestConfigHash:
         digest = config_hash(SimulationConfig(node_count=1, duration_s=60.0))
         assert len(digest) == 16
         int(digest, 16)  # valid hex
+
+    def test_field_added_at_its_default_keeps_the_hash(self):
+        # The reverse of deleting a field that sits at its default.
+        extended = dataclasses.make_dataclass(
+            "ExtendedConfig",
+            [("scratch", int, dataclasses.field(default=0))],
+            bases=(SimulationConfig,),
+            frozen=True,
+        )
+        base = SimulationConfig(node_count=5, duration_s=3600.0, seed=1)
+        same = extended(node_count=5, duration_s=3600.0, seed=1)
+        assert config_hash(same) == config_hash(base)
+        assert config_hash(same.replace(scratch=1)) != config_hash(base)
+
+    def test_explicit_default_hashes_like_omitted(self):
+        assert config_hash(SimulationConfig(omega=8, w_b=1.0)) == config_hash(
+            SimulationConfig()
+        )
+
+    def test_sensitive_to_nested_fault_plan(self):
+        plain = SimulationConfig(node_count=5)
+        hashes = {
+            config_hash(plain.replace(faults=plan))
+            for plan in (
+                None,
+                FaultPlan(),
+                FaultPlan(ack_loss_probability=0.1),
+                FaultPlan(node_reboots=(NodeReboot(1, 600.0),)),
+                FaultPlan(node_reboots=(NodeReboot(1, 900.0),)),
+            )
+        }
+        assert len(hashes) == 5
+
+    def test_schema_bump_changes_every_hash(self, monkeypatch):
+        configs = [
+            SimulationConfig(),
+            SimulationConfig(node_count=5, seed=2),
+            SimulationConfig(faults=FaultPlan(seed=3), shards=1),
+        ]
+        before = [config_hash(config) for config in configs]
+        monkeypatch.setattr(retired, "CONFIG_SCHEMA", retired.CONFIG_SCHEMA + 1)
+        after = [config_hash(config) for config in configs]
+        assert all(old != new for old, new in zip(before, after))
 
 
 def test_git_revision_in_this_repo():
