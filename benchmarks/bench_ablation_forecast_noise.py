@@ -7,36 +7,34 @@ persist — it should be robust, since the DIF only needs the *relative*
 ranking of windows, not exact joules.
 """
 
-from repro.experiments import cached_mesoscopic, format_table, large_scale_base
+from repro.experiments import format_table, large_scale_base
 
 
-def sweep_noise():
-    base = large_scale_base(node_count=50, days=7.0).as_h(0.5)
+def sweep_noise(ablation_records):
+    base = large_scale_base(node_count=50, days=7.0)
+    points = [
+        (sigma, base.as_h(0.5).replace(forecast_sigma=sigma))
+        for sigma in (0.0, 0.15, 0.3, 0.6)
+    ]
+    points.append(("LoRaWAN", base.as_lorawan()))
     rows = []
-    for sigma in (0.0, 0.15, 0.3, 0.6):
-        result = cached_mesoscopic(base.replace(forecast_sigma=sigma))
+    for sigma, config in points:
+        record = ablation_records[config]
         rows.append(
             {
                 "sigma": sigma,
-                "avg_prr": result.metrics.avg_prr,
-                "avg_utility": result.metrics.avg_utility,
-                "lifespan_days": result.network_lifespan_days(),
+                "avg_prr": record.summary["avg_prr"],
+                "avg_utility": record.summary["avg_utility"],
+                "lifespan_days": record.lifespan_days,
             }
         )
-    lorawan = cached_mesoscopic(large_scale_base(node_count=50, days=7.0).as_lorawan())
-    rows.append(
-        {
-            "sigma": "LoRaWAN",
-            "avg_prr": lorawan.metrics.avg_prr,
-            "avg_utility": lorawan.metrics.avg_utility,
-            "lifespan_days": lorawan.network_lifespan_days(),
-        }
-    )
     return rows
 
 
-def test_ablation_forecast_noise(benchmark, report_sink):
-    rows = benchmark.pedantic(sweep_noise, rounds=1, iterations=1)
+def test_ablation_forecast_noise(benchmark, ablation_records, report_sink):
+    rows = benchmark.pedantic(
+        sweep_noise, args=(ablation_records,), rounds=1, iterations=1
+    )
     report_sink(
         "ablation_forecast_noise",
         format_table(

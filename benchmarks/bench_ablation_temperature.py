@@ -7,29 +7,30 @@ internal temperature for H-50 and LoRaWAN and reports lifespans —
 quantifying how much a hot enclosure eats of the protocol's gains.
 """
 
-from repro.experiments import cached_mesoscopic, format_table, large_scale_base
+from repro.experiments import format_table, large_scale_base
 
 
-def sweep_temperature():
+def sweep_temperature(ablation_records):
     base = large_scale_base(node_count=50, days=7.0)
     rows = []
     for temperature in (10.0, 25.0, 40.0):
-        h50 = cached_mesoscopic(base.replace(temperature_c=temperature).as_h(0.5))
-        lorawan = cached_mesoscopic(
-            base.replace(temperature_c=temperature).as_lorawan()
-        )
+        hot = base.replace(temperature_c=temperature)
+        h50 = ablation_records[hot.as_h(0.5)]
+        lorawan = ablation_records[hot.as_lorawan()]
         rows.append(
             {
                 "temperature_c": temperature,
-                "h50_days": h50.network_lifespan_days(),
-                "lorawan_days": lorawan.network_lifespan_days(),
+                "h50_days": h50.lifespan_days,
+                "lorawan_days": lorawan.lifespan_days,
             }
         )
     return rows
 
 
-def test_ablation_temperature(benchmark, report_sink):
-    rows = benchmark.pedantic(sweep_temperature, rounds=1, iterations=1)
+def test_ablation_temperature(benchmark, ablation_records, report_sink):
+    rows = benchmark.pedantic(
+        sweep_temperature, args=(ablation_records,), rounds=1, iterations=1
+    )
     table = [
         [
             r["temperature_c"],

@@ -7,29 +7,29 @@ curve (not a paper figure; it ablates a design choice DESIGN.md calls
 out).
 """
 
-import pytest
-
-from repro.experiments import cached_mesoscopic, format_table, large_scale_base
+from repro.experiments import format_table, large_scale_base
 
 
-def sweep_wb():
+def sweep_wb(ablation_records):
     base = large_scale_base(node_count=50, days=7.0).as_h(0.5)
     rows = []
     for w_b in (0.0, 0.25, 0.5, 1.0):
-        result = cached_mesoscopic(base.replace(w_b=w_b))
+        record = ablation_records[base.replace(w_b=w_b)]
         rows.append(
             {
                 "w_b": w_b,
-                "avg_latency_s": result.metrics.avg_latency_s,
-                "avg_utility": result.metrics.avg_utility,
-                "lifespan_days": result.network_lifespan_days(),
+                "avg_latency_s": record.summary["avg_latency_s"],
+                "avg_utility": record.summary["avg_utility"],
+                "lifespan_days": record.lifespan_days,
             }
         )
     return rows
 
 
-def test_ablation_wb(benchmark, report_sink):
-    rows = benchmark.pedantic(sweep_wb, rounds=1, iterations=1)
+def test_ablation_wb(benchmark, ablation_records, report_sink):
+    rows = benchmark.pedantic(
+        sweep_wb, args=(ablation_records,), rounds=1, iterations=1
+    )
     report_sink(
         "ablation_wb",
         format_table(

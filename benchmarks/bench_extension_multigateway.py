@@ -7,7 +7,9 @@ distance-based SF) deployment and reports coverage (PRR), the SF mix
 showing how infrastructure density and the lifespan-aware MAC compose.
 """
 
-from repro.experiments import cached_mesoscopic, format_table, large_scale_base
+from repro.experiments import format_table, large_scale_base, require_ok
+from repro.sim import build_topology
+from repro.sweep import build_grid, expand_axes, run_sweep
 
 
 def sweep_gateways():
@@ -16,34 +18,27 @@ def sweep_gateways():
         path_loss_exponent=3.2,
         fixed_sf=None,  # distance-based SF assignment
     )
+    points = build_grid(
+        expand_axes(base.as_h(0.5), [("gateway_count", [1, 2, 4])]), [base.seed]
+    )
+    records = run_sweep(points).records
+    require_ok(records)
     rows = []
-    for gateways in (1, 2, 4):
-        config = base.replace(gateway_count=gateways).as_h(0.5)
-        result = cached_mesoscopic(config)
+    for point, record in zip(points, records):
         sf_mean = sum(
-            int(n.placement.spreading_factor)
-            for n in _nodes_of(config)
+            int(placement.spreading_factor)
+            for placement in build_topology(point.config)
         ) / 60.0
         rows.append(
             {
-                "gateways": gateways,
-                "avg_prr": result.metrics.avg_prr,
-                "min_prr": result.metrics.min_prr,
+                "gateways": point.config.gateway_count,
+                "avg_prr": record.summary["avg_prr"],
+                "min_prr": record.summary["min_prr"],
                 "mean_sf": sf_mean,
-                "lifespan_days": result.network_lifespan_days(),
+                "lifespan_days": record.lifespan_days,
             }
         )
     return rows
-
-
-def _nodes_of(config):
-    from repro.sim import build_topology
-
-    class _P:
-        def __init__(self, placement):
-            self.placement = placement
-
-    return [_P(p) for p in build_topology(config)]
 
 
 def test_extension_multigateway(benchmark, report_sink):

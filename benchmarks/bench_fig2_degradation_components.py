@@ -8,10 +8,10 @@ factor in final degradation.
 from repro.experiments import fig2_degradation_components, format_series
 
 
-def test_fig2_degradation_components(benchmark, base_config, report_sink):
+def test_fig2_degradation_components(benchmark, paper_records, report_sink):
     series = benchmark.pedantic(
         fig2_degradation_components,
-        args=(base_config,),
+        args=(paper_records,),
         kwargs={"years": 5},
         rounds=1,
         iterations=1,

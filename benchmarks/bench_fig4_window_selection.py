@@ -8,9 +8,9 @@ the first 4) regardless of θ.
 from repro.experiments import fig4_window_selection, format_histograms
 
 
-def test_fig4_window_selection(benchmark, base_config, report_sink):
+def test_fig4_window_selection(benchmark, paper_records, report_sink):
     histograms = benchmark.pedantic(
-        fig4_window_selection, args=(base_config,), rounds=1, iterations=1
+        fig4_window_selection, args=(paper_records,), rounds=1, iterations=1
     )
     report_sink(
         "fig4_window_selection",

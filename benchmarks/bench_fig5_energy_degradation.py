@@ -9,9 +9,9 @@ H-5 has the lowest degradation of all.
 from repro.experiments import fig5_energy_and_degradation, format_policy_metrics
 
 
-def test_fig5_energy_and_degradation(benchmark, base_config, report_sink):
+def test_fig5_energy_and_degradation(benchmark, paper_records, report_sink):
     rows = benchmark.pedantic(
-        fig5_energy_and_degradation, args=(base_config,), rounds=1, iterations=1
+        fig5_energy_and_degradation, args=(paper_records,), rounds=1, iterations=1
     )
     report_sink(
         "fig5_energy_degradation",

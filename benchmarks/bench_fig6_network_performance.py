@@ -10,9 +10,9 @@ for battery lifespan.
 from repro.experiments import fig6_network_performance, format_policy_metrics
 
 
-def test_fig6_network_performance(benchmark, base_config, report_sink):
+def test_fig6_network_performance(benchmark, paper_records, report_sink):
     rows = benchmark.pedantic(
-        fig6_network_performance, args=(base_config,), rounds=1, iterations=1
+        fig6_network_performance, args=(paper_records,), rounds=1, iterations=1
     )
     report_sink(
         "fig6_network_performance",

@@ -8,10 +8,10 @@ is the slowest to degrade.
 from repro.experiments import fig7_max_degradation_by_month, format_series
 
 
-def test_fig7_max_degradation_by_month(benchmark, base_config, report_sink):
+def test_fig7_max_degradation_by_month(benchmark, paper_records, report_sink):
     series = benchmark.pedantic(
         fig7_max_degradation_by_month,
-        args=(base_config,),
+        args=(paper_records,),
         kwargs={"months": 168},
         rounds=1,
         iterations=1,

@@ -8,9 +8,9 @@ H-50's relative gain lands in the paper's ballpark.
 from repro.experiments import fig8_network_lifespan, format_table
 
 
-def test_fig8_network_lifespan(benchmark, base_config, report_sink):
+def test_fig8_network_lifespan(benchmark, paper_records, report_sink):
     lifespans = benchmark.pedantic(
-        fig8_network_lifespan, args=(base_config,), rounds=1, iterations=1
+        fig8_network_lifespan, args=(paper_records,), rounds=1, iterations=1
     )
     rows = [
         [policy, round(days), round(days / 365.0, 2)]

@@ -9,9 +9,9 @@ latency is lower.  Uses the exact event-driven engine.
 from repro.experiments import fig9_testbed, format_policy_metrics
 
 
-def test_fig9_testbed(benchmark, testbed_config, report_sink):
+def test_fig9_testbed(benchmark, testbed_records, report_sink):
     rows = benchmark.pedantic(
-        fig9_testbed, args=(testbed_config,), rounds=1, iterations=1
+        fig9_testbed, args=(testbed_records,), rounds=1, iterations=1
     )
     report_sink(
         "fig9_testbed",

@@ -7,27 +7,28 @@ learned window spreading holds PRR — plus the simulator's wall-clock
 scaling, since a reproduction should also demonstrate the tool scales.
 """
 
-import time
-
-from repro.experiments import cached_mesoscopic, format_table, large_scale_base
+from repro.experiments import format_table, large_scale_base, require_ok
+from repro.sweep import build_grid, run_sweep
 
 
 def sweep_nodes():
     rows = []
     for nodes in (50, 100, 200):
         base = large_scale_base(node_count=nodes, days=4.0)
-        start = time.perf_counter()
-        lorawan = cached_mesoscopic(base.as_lorawan())
-        h50 = cached_mesoscopic(base.as_h(0.5))
-        wall = time.perf_counter() - start
+        points = build_grid(
+            [("LoRaWAN", base.as_lorawan()), ("H-50", base.as_h(0.5))], [base.seed]
+        )
+        result = run_sweep(points)
+        require_ok(result.records)
+        lorawan, h50 = result.records
         rows.append(
             {
                 "nodes": nodes,
-                "lorawan_prr": lorawan.metrics.avg_prr,
-                "lorawan_retx": lorawan.metrics.avg_retransmissions,
-                "h50_prr": h50.metrics.avg_prr,
-                "h50_retx": h50.metrics.avg_retransmissions,
-                "wall_s": wall,
+                "lorawan_prr": lorawan.summary["avg_prr"],
+                "lorawan_retx": lorawan.summary["avg_retx"],
+                "h50_prr": h50.summary["avg_prr"],
+                "h50_retx": h50.summary["avg_retx"],
+                "wall_s": result.wall_s,
             }
         )
     return rows

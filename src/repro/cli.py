@@ -808,9 +808,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from . import experiments as ex
+    from .sweep import run_sweep
 
+    if args.id in ex.FIGURE_POLICIES:
+        points = ex.policy_grid(ex.large_scale_base(), ex.FIGURE_POLICIES[args.id])
+        records = run_sweep(points).records
+    elif args.id == "9":
+        records = run_sweep(ex.testbed_grid(ex.testbed_base()), engine="exact").records
     if args.id == "2":
-        print(ex.format_series(ex.fig2_degradation_components(), x_label="months", every=6))
+        print(ex.format_series(ex.fig2_degradation_components(records), x_label="months", every=6))
     elif args.id == "3":
         outcome = ex.fig3_degradation_influence()
         rows = [
@@ -819,21 +825,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         ]
         print(ex.format_table(["period", "highest-degraded", "lowest-degraded"], rows))
     elif args.id == "4":
-        print(ex.format_histograms(ex.fig4_window_selection()))
+        print(ex.format_histograms(ex.fig4_window_selection(records)))
     elif args.id == "5":
-        print(ex.format_policy_metrics(ex.fig5_energy_and_degradation()))
+        print(ex.format_policy_metrics(ex.fig5_energy_and_degradation(records)))
     elif args.id == "6":
-        print(ex.format_policy_metrics(ex.fig6_network_performance()))
+        print(ex.format_policy_metrics(ex.fig6_network_performance(records)))
     elif args.id == "7":
-        print(ex.format_series(ex.fig7_max_degradation_by_month(), x_label="month", every=12))
+        print(ex.format_series(ex.fig7_max_degradation_by_month(records), x_label="month", every=12))
     elif args.id == "8":
         rows = [
             [name, round(days), round(days / 365.0, 2)]
-            for name, days in ex.fig8_network_lifespan().items()
+            for name, days in ex.fig8_network_lifespan(records).items()
         ]
         print(ex.format_table(["policy", "days", "years"], rows))
     elif args.id == "9":
-        print(ex.format_policy_metrics(ex.fig9_testbed()))
+        print(ex.format_policy_metrics(ex.fig9_testbed(records)))
     else:  # table1
         rows = ex.measure_overhead()
         overhead = ex.relative_cpu_overhead(rows)
@@ -865,6 +871,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import (
+        READABLE_SCHEMAS,
         SCHEMA,
         RunRecord,
         grid_from_spec,
@@ -902,7 +909,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read sweep report: {exc}", file=sys.stderr)
             return 2
-        if doc.get("schema") != SCHEMA:
+        if doc.get("schema") not in READABLE_SCHEMAS:
             print(
                 f"cannot resume report with schema {doc.get('schema')!r} "
                 f"(expected {SCHEMA!r})",
@@ -1035,15 +1042,18 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicates(args: argparse.Namespace) -> int:
-    from .experiments.statistics import compare_lifespans, run_replicates
+    from .experiments.statistics import compare_lifespans, summarize_replicates
+    from .sweep import build_grid, run_sweep
 
     base = SimulationConfig(
         node_count=args.nodes, duration_s=args.days * SECONDS_PER_DAY
     )
-    seeds = tuple(range(1, args.seeds + 1))
+    seeds = range(1, args.seeds + 1)
     print(f"running {args.seeds} seeds × 2 policies …")
-    lorawan = run_replicates(base.as_lorawan(), seeds)
-    h_theta = run_replicates(base.as_h(args.theta), seeds)
+    variants = [("LoRaWAN", base.as_lorawan()), ("H", base.as_h(args.theta))]
+    records = run_sweep(build_grid(variants, seeds)).records
+    lorawan = summarize_replicates(records[: args.seeds])
+    h_theta = summarize_replicates(records[args.seeds :])
     for name, summary in (("LoRaWAN", lorawan), (f"H-{round(args.theta * 100)}", h_theta)):
         lifespan = summary.metric("lifespan_days")
         prr = summary.metric("avg_prr")

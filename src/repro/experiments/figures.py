@@ -1,64 +1,146 @@
-"""Series generators for every figure in the paper's evaluation.
+"""Grids and reducers for every figure in the paper's evaluation.
 
-Each ``fig*`` function returns plain data structures (dicts/lists) with
-exactly the rows/series the corresponding paper figure plots, so the
-benchmark harness can print them and tests can assert their shape
-(who wins, by roughly what factor, where crossovers fall).
+A simulated figure is a grid plus a reducer.  The grid is a list of
+``repro.sweep`` grid points (:func:`policy_grid`, :func:`testbed_grid`)
+run by :func:`repro.sweep.run_sweep`; the reducer
+(``fig*``) is a pure function of the resulting
+:class:`repro.sweep.RunRecord`s that returns plain data structures with
+exactly the rows/series the paper's figure plots, so the benchmark
+harness can print them and tests can assert their shape (who wins, by
+roughly what factor, where crossovers fall).
 
-Runs are memoized per configuration within a process: Figs. 4, 5 and 6
-all read the same θ-sweep simulations, and Figs. 7 and 8 share the
-lifespan runs.
+One grid feeds several reducers: Figs. 2 and 4-8 all read the
+large-scale policies of :data:`PAPER_POLICIES`, so each configuration is
+simulated once however many figures read it.  Records read back from a
+``SWEEP.json`` report reduce to the same figures as the records of the
+run itself.  A reducer refuses a grid with a record that is not ``ok``.
+
+``repro.sweep`` is imported inside functions only: it pulls in the
+distributed scheduler, which importing ``repro.experiments`` must not.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from ..battery import nonlinear_degradation
 from ..constants import SECONDS_PER_YEAR
 from ..core import LinearUtility, WindowSelector
-from ..sim import (
-    MesoscopicResult,
-    SimulationConfig,
-    SimulationResult,
-    run_mesoscopic,
-    run_simulation,
-)
-from .scenarios import large_scale_base, lifespan_policies, testbed_base, theta_sweep
+from ..exceptions import ConfigurationError, SimulationError
+from ..sim import SimulationConfig
+from .scenarios import lifespan_policies, theta_sweep
 
-_MESO_CACHE: Dict[SimulationConfig, MesoscopicResult] = {}
-_ENGINE_CACHE: Dict[SimulationConfig, SimulationResult] = {}
-
-
-def cached_mesoscopic(config: SimulationConfig) -> MesoscopicResult:
-    """Run (or reuse) a mesoscopic simulation for ``config``."""
-    result = _MESO_CACHE.get(config)
-    if result is None:
-        result = run_mesoscopic(config)
-        _MESO_CACHE[config] = result
-    return result
-
-
-def cached_engine(config: SimulationConfig) -> SimulationResult:
-    """Run (or reuse) an exact event-driven simulation for ``config``."""
-    result = _ENGINE_CACHE.get(config)
-    if result is None:
-        result = run_simulation(config)
-        _ENGINE_CACHE[config] = result
-    return result
+#: The θ sweep of Figs. 4-6.
+THETA_POLICIES = ("LoRaWAN", "H-5", "H-50", "H-100")
+#: The lifespan comparison of Figs. 7-8.
+LIFESPAN_POLICIES = ("LoRaWAN", "H-50", "H-50C")
+#: Every large-scale policy a figure reads (Figs. 2 and 4-8).
+PAPER_POLICIES = THETA_POLICIES + ("H-50C",)
+#: The large-scale policies each simulated figure reads, by figure id.
+FIGURE_POLICIES: Dict[str, Sequence[str]] = {
+    "2": ("LoRaWAN",),
+    "4": THETA_POLICIES,
+    "5": THETA_POLICIES,
+    "6": THETA_POLICIES,
+    "7": LIFESPAN_POLICIES,
+    "8": LIFESPAN_POLICIES,
+}
 
 
-def clear_cache() -> None:
-    """Drop all memoized runs (tests use this for isolation)."""
-    _MESO_CACHE.clear()
-    _ENGINE_CACHE.clear()
+# ------------------------------------------------------------------- grids
+
+
+def policy_grid(base: SimulationConfig, policies: Sequence[str]) -> List:
+    """One grid point per named large-scale policy, at ``base.seed``."""
+    from ..sweep import build_grid
+
+    configs = {**theta_sweep(base), **lifespan_policies(base)}
+    unknown = [name for name in policies if name not in configs]
+    if unknown:
+        raise ConfigurationError(f"unknown figure policies {unknown}")
+    return build_grid([(name, configs[name]) for name in policies], [base.seed])
+
+
+def testbed_grid(base: SimulationConfig) -> List:
+    """Fig. 9's grid, LoRaWAN and H-100 on the testbed (exact engine)."""
+    from ..sweep import build_grid
+
+    return build_grid(
+        [("LoRaWAN", base.as_lorawan()), ("H-100", base.as_h(1.0))], [base.seed]
+    )
+
+
+# ---------------------------------------------------------------- records
+
+
+def require_ok(records: Sequence) -> None:
+    """Refuse a grid with a record that is not ``ok``, naming it."""
+    for record in records:
+        if not record.ok:
+            lines = (record.error or "").strip().splitlines()
+            reason = f": {lines[-1]}" if lines else ""
+            raise SimulationError(
+                f"grid point {record.index} ({record.label}) is "
+                f"{record.status}{reason}"
+            )
+
+
+def policy_records(records: Sequence, policies: Sequence[str]) -> Dict[str, object]:
+    """The record of each named policy, in ``policies`` order.
+
+    Refuses a grid with a record that is not ``ok``, a policy without a
+    record, and a policy with several (reduce one seed at a time).
+    """
+    require_ok(records)
+    by_policy: Dict[str, object] = {}
+    for record in records:
+        if record.policy in by_policy:
+            raise ConfigurationError(
+                f"policy {record.policy} has more than one record"
+            )
+        by_policy[record.policy] = record
+    missing = [name for name in policies if name not in by_policy]
+    if missing:
+        raise ConfigurationError(f"no record for policies {missing}")
+    return {name: by_policy[name] for name in policies}
+
+
+def record_metric(record, name: str) -> float:
+    """A summary metric of one record (``lifespan_days`` included)."""
+    if name == "lifespan_days":
+        return record.lifespan_days
+    try:
+        return record.summary[name]
+    except KeyError as error:
+        raise ConfigurationError(f"unknown metric {name!r}") from error
+
+
+def crossover(records: Sequence, metric: str, threshold: float):
+    """First record, in grid order, whose ``metric`` crosses ``threshold``.
+
+    The direction is the one the first record establishes; returns None
+    if the metric never crosses.  The record's label names the swept
+    value, for questions like "at what θ does PRR fall below 95 %?".
+    """
+    if not records:
+        raise ConfigurationError("no sweep records given")
+    require_ok(records)
+    first = record_metric(records[0], metric)
+    if first == threshold:
+        return records[0]
+    rising = first < threshold
+    for record in records:
+        value = record_metric(record, metric)
+        if (rising and value >= threshold) or (not rising and value <= threshold):
+            return record
+    return None
 
 
 # --------------------------------------------------------------------- Fig 2
 
 
 def fig2_degradation_components(
-    base: Optional[SimulationConfig] = None, years: int = 5
+    records: Sequence, years: int = 5
 ) -> Dict[str, List[float]]:
     """Fig. 2: calendar vs cycle vs total degradation of a LoRaWAN node.
 
@@ -67,12 +149,9 @@ def fig2_degradation_components(
     plots them), and ``total`` (the nonlinear Eq. 4 curve).  Shape to
     reproduce: calendar aging significantly higher than cycle aging.
     """
-    base = base or large_scale_base()
-    result = cached_mesoscopic(base.as_lorawan())
-    nodes = result.metrics.nodes.values()
-    count = len(result.metrics.nodes)
-    cal_rate = sum(n.calendar_aging for n in nodes) / count / result.simulated_s
-    cyc_rate = sum(n.cycle_aging for n in nodes) / count / result.simulated_s
+    record = policy_records(records, ("LoRaWAN",))["LoRaWAN"]
+    cal_rate = record.mean_calendar_aging / record.simulated_s
+    cyc_rate = record.mean_cycle_aging / record.simulated_s
     months = years * 12
     month_s = SECONDS_PER_YEAR / 12.0
     series: Dict[str, List[float]] = {"months": [], "calendar": [], "cycle": [], "total": []}
@@ -128,26 +207,20 @@ def fig3_degradation_influence(
 # ---------------------------------------------------------------- Figs 4-6
 
 
-def fig4_window_selection(
-    base: Optional[SimulationConfig] = None,
-) -> Dict[str, Dict[int, int]]:
+def fig4_window_selection(records: Sequence) -> Dict[str, Dict[int, int]]:
     """Fig. 4: nodes binned by majority forecast window, per policy.
 
     Shape: LoRaWAN puts 100 % of nodes in window 1 (index 0); the H
     variants spread nodes across the first few windows regardless of θ.
     """
-    base = base or large_scale_base()
-    histograms: Dict[str, Dict[int, int]] = {}
-    for name, config in theta_sweep(base).items():
-        result = cached_mesoscopic(config)
-        histograms[name] = dict(
-            sorted(result.metrics.majority_window_histogram().items())
-        )
-    return histograms
+    return {
+        name: dict(sorted(record.window_histogram.items()))
+        for name, record in policy_records(records, THETA_POLICIES).items()
+    }
 
 
 def fig5_energy_and_degradation(
-    base: Optional[SimulationConfig] = None, horizon_years: float = 5.0
+    records: Sequence, horizon_years: float = 5.0
 ) -> Dict[str, Dict[str, float]]:
     """Fig. 5: (a) avg RETX, (b) TX energy, (c) degradation, per policy.
 
@@ -156,15 +229,11 @@ def fig5_energy_and_degradation(
     beats LoRaWAN on RETX and TX energy; H-50 cuts mean degradation by
     ~20 % while H-100's mean matches LoRaWAN.
     """
-    base = base or large_scale_base()
     rows: Dict[str, Dict[str, float]] = {}
     horizon_s = horizon_years * SECONDS_PER_YEAR
-    for name, config in theta_sweep(base).items():
-        result = cached_mesoscopic(config)
-        metrics = result.metrics
+    for name, record in policy_records(records, THETA_POLICIES).items():
         degradations = [
-            nonlinear_degradation(rate * horizon_s)
-            for rate in result.linear_rates.values()
+            nonlinear_degradation(rate * horizon_s) for rate in record.linear_rates
         ]
         mean = sum(degradations) / len(degradations)
         variance = (
@@ -173,8 +242,8 @@ def fig5_energy_and_degradation(
             else 0.0
         )
         rows[name] = {
-            "avg_retx": metrics.avg_retransmissions,
-            "tx_energy_j": metrics.total_tx_energy_j,
+            "avg_retx": record.summary["avg_retx"],
+            "tx_energy_j": record.summary["total_tx_energy_j"],
             "mean_degradation": mean,
             "max_degradation": max(degradations),
             "degradation_variance": variance,
@@ -182,90 +251,74 @@ def fig5_energy_and_degradation(
     return rows
 
 
-def fig6_network_performance(
-    base: Optional[SimulationConfig] = None,
-) -> Dict[str, Dict[str, float]]:
+def fig6_network_performance(records: Sequence) -> Dict[str, Dict[str, float]]:
     """Fig. 6: (a) avg utility, (b) PRR, (c) avg latency, per policy.
 
     Shape: LoRaWAN's utility/PRR spread wide (ALOHA collisions); H-50
     and H-100 dominate both; H-5's PRR collapses (battery depletion);
     H latency exceeds LoRaWAN's delivered-packet latency.
     """
-    base = base or large_scale_base()
-    rows: Dict[str, Dict[str, float]] = {}
-    for name, config in theta_sweep(base).items():
-        metrics = cached_mesoscopic(config).metrics
-        rows[name] = {
-            "avg_utility": metrics.avg_utility,
-            "avg_prr": metrics.avg_prr,
-            "min_prr": metrics.min_prr,
-            "avg_latency_s": metrics.avg_latency_s,
-            "avg_delivered_latency_s": metrics.avg_delivered_latency_s,
-        }
-    return rows
+    keys = ("avg_utility", "avg_prr", "min_prr", "avg_latency_s", "avg_delivered_latency_s")
+    return {
+        name: {key: record.summary[key] for key in keys}
+        for name, record in policy_records(records, THETA_POLICIES).items()
+    }
 
 
 # ---------------------------------------------------------------- Figs 7-8
 
 
 def fig7_max_degradation_by_month(
-    base: Optional[SimulationConfig] = None, months: int = 168
+    records: Sequence, months: int = 168
 ) -> Dict[str, List[float]]:
     """Fig. 7: max network degradation at each month, until EoL.
 
+    The worst node's linear rate, extrapolated to each month boundary.
     Shape: LoRaWAN's curve climbs fastest and crosses 20 % years before
     H-50C, which crosses before H-50.
     """
-    base = base or large_scale_base()
+    month_s = SECONDS_PER_YEAR / 12.0
     series: Dict[str, List[float]] = {}
-    for name, config in lifespan_policies(base).items():
-        result = cached_mesoscopic(config)
-        series[name] = result.monthly_max_series(months)
+    for name, record in policy_records(records, LIFESPAN_POLICIES).items():
+        worst = max(record.linear_rates)
+        series[name] = [
+            nonlinear_degradation(worst * ((m + 1) * month_s)) for m in range(months)
+        ]
     return series
 
 
-def fig8_network_lifespan(
-    base: Optional[SimulationConfig] = None,
-) -> Dict[str, float]:
+def fig8_network_lifespan(records: Sequence) -> Dict[str, float]:
     """Fig. 8: network battery lifespan in days, per policy.
 
     Shape targets: LoRaWAN ≈ 8 years, H-50 ≈ 70 % longer, H-50C in
     between (paper: 2980 days vs 13.86 years vs intermediate).
     """
-    base = base or large_scale_base()
     return {
-        name: cached_mesoscopic(config).network_lifespan_days()
-        for name, config in lifespan_policies(base).items()
+        name: record.lifespan_days
+        for name, record in policy_records(records, LIFESPAN_POLICIES).items()
     }
 
 
 # ------------------------------------------------------------------- Fig 9
 
 
-def fig9_testbed(
-    base: Optional[SimulationConfig] = None,
-) -> Dict[str, Dict[str, float]]:
+def fig9_testbed(records: Sequence) -> Dict[str, Dict[str, float]]:
     """Fig. 9: the 24-hour, 10-node testbed — H-100 vs LoRaWAN.
 
-    Uses the exact event-driven engine.  Shape: PRR ≈ 100 % for both;
-    LoRaWAN's degradation variance and cycle aging far exceed H-100's;
-    H-100 has fewer RETX but higher latency.
+    Reduces :func:`testbed_grid`'s exact-engine records.  Shape: PRR ≈
+    100 % for both; LoRaWAN's degradation variance and cycle aging far
+    exceed H-100's; H-100 has fewer RETX but higher latency.
     """
-    base = base or testbed_base()
+    keys = (
+        "avg_prr",
+        "avg_retx",
+        "avg_latency_s",
+        "avg_delivered_latency_s",
+        "degradation_variance",
+        "mean_degradation",
+    )
     rows: Dict[str, Dict[str, float]] = {}
-    for name, config in (
-        ("LoRaWAN", base.as_lorawan()),
-        ("H-100", base.as_h(1.0)),
-    ):
-        result = cached_engine(config)
-        metrics = result.metrics
-        rows[name] = {
-            "avg_prr": metrics.avg_prr,
-            "avg_retx": metrics.avg_retransmissions,
-            "avg_latency_s": metrics.avg_latency_s,
-            "avg_delivered_latency_s": metrics.avg_delivered_latency_s,
-            "degradation_variance": metrics.degradation_variance,
-            "mean_degradation": metrics.mean_degradation,
-            "total_cycle_aging": metrics.total_cycle_aging,
-        }
+    for name, record in policy_records(records, ("LoRaWAN", "H-100")).items():
+        rows[name] = {key: record.summary[key] for key in keys}
+        rows[name]["total_cycle_aging"] = record.total_cycle_aging
     return rows

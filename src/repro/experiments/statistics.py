@@ -1,20 +1,21 @@
 """Multi-seed replication and confidence intervals.
 
 Single simulation runs carry seed noise (topology, channels, offsets,
-clouds).  This module reruns a configuration across seeds and reports
-per-metric means with Student-t confidence intervals, so claims like
-"H-50 extends lifespan by X %" can be made with error bars — something
-the paper's single-run plots do not provide.
+clouds).  This module reduces the records of one configuration run
+across seeds (a ``repro.sweep`` grid of one variant) to per-metric means
+with Student-t confidence intervals, so claims like "H-50 extends
+lifespan by X %" can be made with error bars — something the paper's
+single-run plots do not provide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..exceptions import ConfigurationError
-from ..sim import MesoscopicResult, SimulationConfig, run_mesoscopic
+from .figures import require_ok
 
 #: Two-sided Student-t critical values at 95 % for small sample sizes
 #: (df 1..30); avoids a scipy dependency for the common path.
@@ -74,10 +75,10 @@ def summarize(name: str, values: Sequence[float]) -> MetricSummary:
 class ReplicateSummary:
     """Aggregated metrics of one configuration across seeds."""
 
-    config: SimulationConfig
     seeds: List[int]
     metrics: Dict[str, MetricSummary]
-    results: List[MesoscopicResult]
+    #: The :class:`repro.sweep.RunRecord` of each seed, in ``seeds`` order.
+    records: List
 
     def metric(self, name: str) -> MetricSummary:
         try:
@@ -86,33 +87,31 @@ class ReplicateSummary:
             raise ConfigurationError(f"unknown metric {name!r}") from error
 
 
-def run_replicates(
-    config: SimulationConfig,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    runner: Optional[Callable[[SimulationConfig], MesoscopicResult]] = None,
-) -> ReplicateSummary:
-    """Run ``config`` once per seed and aggregate the headline metrics.
+def summarize_replicates(records: Sequence) -> ReplicateSummary:
+    """Reduce one configuration's records, one per seed, to mean ± 95 % CI.
 
     Each replicate resamples topology, periods, channel draws, clouds and
-    shading.  The extrapolated network lifespan is included under the
-    key ``lifespan_days``.
+    shading.  Every summary metric is aggregated, plus the extrapolated
+    network lifespan under the key ``lifespan_days``.
     """
-    if not seeds:
+    if not records:
         raise ConfigurationError("at least one seed is required")
-    runner = runner or run_mesoscopic
-    results = [runner(config.replace(seed=seed)) for seed in seeds]
+    require_ok(records)
+    seeds = [record.seed for record in records]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError("replicates need one record per seed")
+    if len({record.policy for record in records}) != 1:
+        raise ConfigurationError("replicates must share one policy")
 
     samples: Dict[str, List[float]] = {}
-    for result in results:
-        summary = result.metrics.summary()
-        summary["lifespan_days"] = result.network_lifespan_days()
+    for record in records:
+        summary = dict(record.summary)
+        summary["lifespan_days"] = record.lifespan_days
         for key, value in summary.items():
             samples.setdefault(key, []).append(value)
 
     metrics = {name: summarize(name, values) for name, values in samples.items()}
-    return ReplicateSummary(
-        config=config, seeds=list(seeds), metrics=metrics, results=results
-    )
+    return ReplicateSummary(seeds=seeds, metrics=metrics, records=list(records))
 
 
 def compare_lifespans(
@@ -120,14 +119,15 @@ def compare_lifespans(
 ) -> MetricSummary:
     """Per-seed paired lifespan gain of ``treatment`` over ``baseline``.
 
-    Pairs replicates by position (same seed → same topology), computes
-    the relative gain for each pair, and summarizes — a paired design
-    that cancels topology noise.
+    Pairs records by seed (same seed → same topology), computes the
+    relative gain for each pair, and summarizes — a paired design that
+    cancels topology noise.
     """
-    if baseline.seeds != treatment.seeds:
+    treated = {record.seed: record for record in treatment.records}
+    if sorted(baseline.seeds) != sorted(treated):
         raise ConfigurationError("replicate sets must use identical seeds")
     gains = [
-        t.network_lifespan_days() / b.network_lifespan_days() - 1.0
-        for b, t in zip(baseline.results, treatment.results)
+        treated[record.seed].lifespan_days / record.lifespan_days - 1.0
+        for record in baseline.records
     ]
     return summarize("lifespan_gain", gains)

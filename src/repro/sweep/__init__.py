@@ -11,6 +11,7 @@ docs/PERFORMANCE.md, recovery semantics in docs/ROBUSTNESS.md.
 """
 
 from .executor import (
+    READABLE_SCHEMAS,
     SCHEMA,
     STATUSES,
     CrashSpec,
@@ -32,6 +33,7 @@ from .spec import (
 )
 
 __all__ = [
+    "READABLE_SCHEMAS",
     "SCHEMA",
     "SPEC_KEYS",
     "STATUSES",

@@ -37,6 +37,7 @@ bit-identical to ``workers=1`` for every N — only the timing fields
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback
@@ -61,7 +62,14 @@ from .grid import SweepPoint
 #: v2: per-run ``attempts``, four-way status
 #: (completed|resumed|failed|timeout), sweep-level ``interrupted`` flag
 #: and embedded grid ``spec`` for ``repro sweep --resume``.
-SCHEMA = "repro.sweep/2"
+#: v3: per-run ``linear_rates``, ``simulated_s``, ``window_histogram``,
+#: ``mean_calendar_aging``, ``mean_cycle_aging`` and ``total_cycle_aging``
+#: — the series the figure reducers read (:mod:`repro.experiments.figures`).
+SCHEMA = "repro.sweep/3"
+
+#: Report schemas ``--resume`` and :meth:`RunRecord.from_dict` still read;
+#: a v2 record loads with the v3 fields set to None.
+READABLE_SCHEMAS = ("repro.sweep/2", SCHEMA)
 
 #: Final statuses a run record can carry.
 STATUSES = ("completed", "resumed", "failed", "timeout")
@@ -105,6 +113,18 @@ class RunRecord:
     #: it is the parent's cumulative high-water mark (``ru_maxrss`` never
     #: goes down), so treat it as an upper bound there.
     peak_rss_kb: Optional[int] = None
+    #: Per-node linear degradation rates (1/s) in node-id order, the
+    #: basis of every lifespan extrapolation (mesoscopic runs only).
+    linear_rates: Optional[List[float]] = None
+    #: Simulated horizon the rates were measured over (mesoscopic only).
+    simulated_s: Optional[float] = None
+    #: Nodes binned by the forecast window they used for most packets.
+    window_histogram: Optional[Dict[int, int]] = None
+    #: Per-node calendar and cycle aging, averaged over the network.
+    mean_calendar_aging: Optional[float] = None
+    mean_cycle_aging: Optional[float] = None
+    #: Cycle aging summed over the network.
+    total_cycle_aging: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -112,26 +132,16 @@ class RunRecord:
         return self.status in ("completed", "resumed")
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "seed": self.seed,
-            "policy": self.policy,
-            "engine": self.engine,
-            "status": self.status,
-            "config_hash": self.config_hash,
-            "summary": self.summary,
-            "lifespan_days": self.lifespan_days,
-            "manifest": self.manifest,
-            "error": self.error,
-            "wall_s": self.wall_s,
-            "attempts": self.attempts,
-            "peak_rss_kb": self.peak_rss_kb,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        """Rebuild a record from SWEEP.json (``repro sweep --resume``)."""
+        """Rebuild a record from SWEEP.json (``repro sweep --resume``).
+
+        Reads every schema in :data:`READABLE_SCHEMAS`: fields a v2
+        report lacks load as None.
+        """
+        histogram = data.get("window_histogram")
         return cls(
             index=int(data["index"]),
             label=str(data["label"]),
@@ -151,6 +161,17 @@ class RunRecord:
                 if data.get("peak_rss_kb") is None
                 else int(data["peak_rss_kb"])
             ),
+            linear_rates=data.get("linear_rates"),
+            simulated_s=data.get("simulated_s"),
+            # JSON object keys are strings; windows are ints.
+            window_histogram=(
+                None
+                if histogram is None
+                else {int(window): int(n) for window, n in histogram.items()}
+            ),
+            mean_calendar_aging=data.get("mean_calendar_aging"),
+            mean_cycle_aging=data.get("mean_cycle_aging"),
+            total_cycle_aging=data.get("total_cycle_aging"),
         )
 
 
@@ -272,9 +293,20 @@ def execute_point(
             result = _sim.run_mesoscopic(config, transport=transport)
         else:
             result = _sim.run_mesoscopic(config)
+        metrics = result.metrics
         if engine == "meso":
             record.lifespan_days = result.network_lifespan_days()
-        record.summary = result.metrics.summary()
+            record.simulated_s = result.simulated_s
+            rates = result.linear_rates
+            record.linear_rates = [rates[node_id] for node_id in sorted(rates)]
+        record.summary = metrics.summary()
+        record.window_histogram = dict(
+            sorted(metrics.majority_window_histogram().items())
+        )
+        nodes = metrics.nodes.values()
+        record.mean_calendar_aging = sum(n.calendar_aging for n in nodes) / len(nodes)
+        record.mean_cycle_aging = sum(n.cycle_aging for n in nodes) / len(nodes)
+        record.total_cycle_aging = metrics.total_cycle_aging
         if result.manifest is not None:
             record.manifest = result.manifest.to_dict()
     except SimulationInterrupted:

@@ -1,16 +1,19 @@
-"""Tests for the per-figure series generators (tiny configurations).
+"""Tests for the per-figure grids and reducers (tiny configurations).
 
-These tests run each figure generator on a deliberately small scenario
-and assert the paper's qualitative shapes — who wins, monotonicity,
-series lengths — not absolute values.
+These tests run each figure's grid once on a deliberately small
+scenario, reduce its records with every figure that reads them, and
+assert the paper's qualitative shapes — who wins, monotonicity, series
+lengths — not absolute values.
 """
+
+import json
 
 import pytest
 
 from repro.constants import SECONDS_PER_DAY
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments import (
-    cached_mesoscopic,
-    clear_cache,
+    PAPER_POLICIES,
     fig2_degradation_components,
     fig3_degradation_influence,
     fig4_window_selection,
@@ -20,10 +23,14 @@ from repro.experiments import (
     fig8_network_lifespan,
     fig9_testbed,
     measure_overhead,
+    policy_grid,
+    policy_records,
     relative_cpu_overhead,
     testbed_base as make_testbed_base,
+    testbed_grid as make_testbed_grid,
 )
 from repro.sim import SimulationConfig
+from repro.sweep import RunRecord, SweepResult, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +49,35 @@ def tiny_testbed():
     return make_testbed_base().replace(duration_s=6 * 3600.0)
 
 
+@pytest.fixture(scope="module")
+def paper_records(tiny_base):
+    """One run of every large-scale policy, shared by Figs. 2 and 4-8."""
+    return run_sweep(policy_grid(tiny_base, PAPER_POLICIES)).records
+
+
+@pytest.fixture(scope="module")
+def testbed_records(tiny_testbed):
+    return run_sweep(make_testbed_grid(tiny_testbed), engine="exact").records
+
+
 class TestFig2:
-    def test_calendar_dominates_cycle(self, tiny_base):
-        series = fig2_degradation_components(tiny_base, years=5)
+    def test_calendar_dominates_cycle(self, paper_records):
+        series = fig2_degradation_components(paper_records, years=5)
         assert series["calendar"][-1] > series["cycle"][-1]
 
-    def test_series_lengths(self, tiny_base):
-        series = fig2_degradation_components(tiny_base, years=5)
+    def test_series_lengths(self, paper_records):
+        series = fig2_degradation_components(paper_records, years=5)
         assert len(series["months"]) == 60
         assert len(series["total"]) == 60
 
-    def test_all_series_monotone(self, tiny_base):
-        series = fig2_degradation_components(tiny_base, years=5)
+    def test_all_series_monotone(self, paper_records):
+        series = fig2_degradation_components(paper_records, years=5)
         for name in ("calendar", "cycle", "total"):
             values = series[name]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_total_is_nonlinear_map(self, tiny_base):
-        series = fig2_degradation_components(tiny_base, years=5)
+    def test_total_is_nonlinear_map(self, paper_records):
+        series = fig2_degradation_components(paper_records, years=5)
         assert 0 < series["total"][-1] < 1
 
 
@@ -76,13 +94,13 @@ class TestFig3:
 
 
 class TestFig4(object):
-    def test_lorawan_all_nodes_in_first_window(self, tiny_base):
-        histograms = fig4_window_selection(tiny_base)
+    def test_lorawan_all_nodes_in_first_window(self, paper_records):
+        histograms = fig4_window_selection(paper_records)
         lorawan = histograms["LoRaWAN"]
         assert set(lorawan) == {0}
 
-    def test_h_variants_spread_or_stay_early(self, tiny_base):
-        histograms = fig4_window_selection(tiny_base)
+    def test_h_variants_spread_or_stay_early(self, paper_records):
+        histograms = fig4_window_selection(paper_records)
         for name in ("H-5", "H-50", "H-100"):
             total = sum(histograms[name].values())
             early = sum(v for w, v in histograms[name].items() if w < 4)
@@ -90,82 +108,82 @@ class TestFig4(object):
 
 
 class TestFig5:
-    def test_h_reduces_retx_and_energy(self, tiny_base):
-        rows = fig5_energy_and_degradation(tiny_base)
+    def test_h_reduces_retx_and_energy(self, paper_records):
+        rows = fig5_energy_and_degradation(paper_records)
         for name in ("H-50", "H-100"):
             assert rows[name]["avg_retx"] <= rows["LoRaWAN"]["avg_retx"]
             assert rows[name]["tx_energy_j"] <= rows["LoRaWAN"]["tx_energy_j"]
 
-    def test_h50_cuts_mean_degradation(self, tiny_base):
-        rows = fig5_energy_and_degradation(tiny_base)
+    def test_h50_cuts_mean_degradation(self, paper_records):
+        rows = fig5_energy_and_degradation(paper_records)
         assert rows["H-50"]["mean_degradation"] < rows["LoRaWAN"]["mean_degradation"]
 
-    def test_h100_mean_close_to_lorawan(self, tiny_base):
-        rows = fig5_energy_and_degradation(tiny_base)
+    def test_h100_mean_close_to_lorawan(self, paper_records):
+        rows = fig5_energy_and_degradation(paper_records)
         ratio = rows["H-100"]["mean_degradation"] / rows["LoRaWAN"]["mean_degradation"]
         assert 0.7 < ratio < 1.3
 
-    def test_h5_lowest_degradation(self, tiny_base):
-        rows = fig5_energy_and_degradation(tiny_base)
+    def test_h5_lowest_degradation(self, paper_records):
+        rows = fig5_energy_and_degradation(paper_records)
         assert rows["H-5"]["mean_degradation"] == min(
             row["mean_degradation"] for row in rows.values()
         )
 
 
 class TestFig6:
-    def test_h50_prr_at_least_lorawan(self, tiny_base):
-        rows = fig6_network_performance(tiny_base)
+    def test_h50_prr_at_least_lorawan(self, paper_records):
+        rows = fig6_network_performance(paper_records)
         assert rows["H-50"]["avg_prr"] >= rows["LoRaWAN"]["avg_prr"] - 0.02
 
-    def test_h5_prr_collapses(self, tiny_base):
-        rows = fig6_network_performance(tiny_base)
+    def test_h5_prr_collapses(self, paper_records):
+        rows = fig6_network_performance(paper_records)
         assert rows["H-5"]["avg_prr"] < rows["H-50"]["avg_prr"] - 0.1
 
-    def test_delivered_latency_lorawan_lowest(self, tiny_base):
-        rows = fig6_network_performance(tiny_base)
+    def test_delivered_latency_lorawan_lowest(self, paper_records):
+        rows = fig6_network_performance(paper_records)
         assert (
             rows["LoRaWAN"]["avg_delivered_latency_s"]
             <= rows["H-50"]["avg_delivered_latency_s"] + 1.0
         )
 
-    def test_metrics_in_bounds(self, tiny_base):
-        rows = fig6_network_performance(tiny_base)
+    def test_metrics_in_bounds(self, paper_records):
+        rows = fig6_network_performance(paper_records)
         for row in rows.values():
             assert 0.0 <= row["avg_prr"] <= 1.0
             assert 0.0 <= row["avg_utility"] <= 1.0
 
 
 class TestFig7And8:
-    def test_monthly_series_ordering(self, tiny_base):
-        series = fig7_max_degradation_by_month(tiny_base, months=120)
+    def test_monthly_series_ordering(self, paper_records):
+        series = fig7_max_degradation_by_month(paper_records, months=120)
         # LoRaWAN degrades fastest at every month (after warm-up).
         for m in range(24, 120, 24):
             assert series["LoRaWAN"][m] >= series["H-50"][m]
 
-    def test_lifespan_ordering_matches_paper(self, tiny_base):
-        lifespans = fig8_network_lifespan(tiny_base)
+    def test_lifespan_ordering_matches_paper(self, paper_records):
+        lifespans = fig8_network_lifespan(paper_records)
         assert lifespans["H-50"] > lifespans["LoRaWAN"]
         assert lifespans["H-50C"] > lifespans["LoRaWAN"]
 
-    def test_h50_gain_in_paper_ballpark(self, tiny_base):
-        lifespans = fig8_network_lifespan(tiny_base)
+    def test_h50_gain_in_paper_ballpark(self, paper_records):
+        lifespans = fig8_network_lifespan(paper_records)
         gain = lifespans["H-50"] / lifespans["LoRaWAN"] - 1.0
         # Paper: +69.7 %.  Accept a generous band at smoke-test scale.
         assert 0.3 < gain < 1.5
 
 
 class TestFig9:
-    def test_prr_near_perfect_for_both(self, tiny_testbed):
-        rows = fig9_testbed(tiny_testbed)
+    def test_prr_near_perfect_for_both(self, testbed_records):
+        rows = fig9_testbed(testbed_records)
         assert rows["LoRaWAN"]["avg_prr"] > 0.9
         assert rows["H-100"]["avg_prr"] > 0.9
 
-    def test_h100_fewer_retx(self, tiny_testbed):
-        rows = fig9_testbed(tiny_testbed)
+    def test_h100_fewer_retx(self, testbed_records):
+        rows = fig9_testbed(testbed_records)
         assert rows["H-100"]["avg_retx"] <= rows["LoRaWAN"]["avg_retx"]
 
-    def test_lorawan_lower_delivered_latency(self, tiny_testbed):
-        rows = fig9_testbed(tiny_testbed)
+    def test_lorawan_lower_delivered_latency(self, testbed_records):
+        rows = fig9_testbed(testbed_records)
         assert (
             rows["LoRaWAN"]["avg_delivered_latency_s"]
             <= rows["H-100"]["avg_delivered_latency_s"]
@@ -184,10 +202,62 @@ class TestTableI:
         assert rows["H-100"].code_size_bytes > rows["LoRaWAN"].code_size_bytes
 
 
-class TestCaching:
-    def test_cached_run_reused(self, tiny_base):
-        clear_cache()
-        config = tiny_base.as_lorawan()
-        first = cached_mesoscopic(config)
-        second = cached_mesoscopic(config)
-        assert first is second
+def _failed(record):
+    failed = RunRecord.from_dict(record.to_dict())
+    failed.status = "failed"
+    failed.error = "Traceback ...\nRuntimeError: engine exploded"
+    return failed
+
+
+class TestRecords:
+    def test_reducers_identical_after_sweep_json_round_trip(
+        self, paper_records, testbed_records, tmp_path
+    ):
+        def reduce_all(paper, testbed):
+            return [
+                fig2_degradation_components(paper, years=5),
+                fig4_window_selection(paper),
+                fig5_energy_and_degradation(paper),
+                fig6_network_performance(paper),
+                fig7_max_degradation_by_month(paper, months=120),
+                fig8_network_lifespan(paper),
+                fig9_testbed(testbed),
+            ]
+
+        def round_trip(records, engine):
+            path = tmp_path / f"{engine}.json"
+            SweepResult(engine=engine, workers=1, records=records).write(str(path))
+            doc = json.loads(path.read_text())
+            return [RunRecord.from_dict(run) for run in doc["runs"]]
+
+        in_memory = reduce_all(paper_records, testbed_records)
+        reloaded = reduce_all(
+            round_trip(paper_records, "meso"), round_trip(testbed_records, "exact")
+        )
+        assert repr(reloaded) == repr(in_memory)
+
+    def test_reducer_names_a_failed_record(self, paper_records):
+        records = list(paper_records)
+        records[2] = _failed(records[2])
+        with pytest.raises(SimulationError, match="grid point 2 .*H-50.*failed.*exploded"):
+            fig8_network_lifespan(records)
+
+    def test_failed_record_refused_even_if_unread(self, paper_records):
+        # H-5 is not a Fig. 8 policy, but the grid holds a failed run.
+        records = list(paper_records)
+        records[1] = _failed(records[1])
+        with pytest.raises(SimulationError, match="grid point 1"):
+            fig8_network_lifespan(records)
+
+    def test_missing_policy_refused(self, paper_records):
+        with pytest.raises(ConfigurationError, match="H-50C"):
+            fig8_network_lifespan(paper_records[:4])
+
+    def test_policy_records_follow_the_requested_order(self, paper_records):
+        chosen = policy_records(paper_records, ("H-50C", "LoRaWAN"))
+        assert list(chosen) == ["H-50C", "LoRaWAN"]
+        assert chosen["LoRaWAN"].policy == "LoRaWAN"
+
+    def test_multi_seed_grid_refused(self, paper_records):
+        with pytest.raises(ConfigurationError, match="more than one record"):
+            fig8_network_lifespan(paper_records + paper_records[:1])

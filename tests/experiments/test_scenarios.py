@@ -1,6 +1,8 @@
 """Tests for scenario configuration builders."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,7 +66,7 @@ class TestTestbedBase:
 
 
 class TestPolicySets:
-    def test_theta_sweep_policies(self):
+    def test_theta_sweep_policy_set(self):
         sweep = theta_sweep(large_scale_base())
         assert set(sweep) == {"LoRaWAN", "H-5", "H-50", "H-100"}
         assert sweep["H-5"].soc_cap == pytest.approx(0.05)
@@ -75,3 +77,26 @@ class TestPolicySets:
         assert set(policies) == {"LoRaWAN", "H-50", "H-50C"}
         assert not policies["H-50C"].use_window_selection
         assert policies["H-50C"].soc_cap == 0.5
+
+
+class TestImportCost:
+    def test_scenarios_do_not_import_the_sweep_runner(self):
+        # repro.sweep pulls in repro.dist, asyncio and multiprocessing;
+        # the benchmark child imports scenarios and pays for every module.
+        code = (
+            "import sys, repro.experiments.scenarios; "
+            "print('repro.sweep' in sys.modules)"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs import iter_jsonl
+from repro.obs.profiling import git_revision
 from repro.sim import SimulationConfig, run_mesoscopic, run_simulation
 
 
@@ -118,7 +119,8 @@ class TestTracedExactRun:
     def test_manifest_accounting(self, traced):
         bus = traced.obs.trace
         assert traced.manifest.trace_events == bus.emitted
-        assert traced.manifest.git_rev is not None
+        # None outside a git checkout (e.g. a `git archive` export).
+        assert traced.manifest.git_rev == git_revision()
 
     def test_run_markers_bracket_the_trace(self, traced):
         # Handlers may stamp events with computed (slightly future)

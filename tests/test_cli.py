@@ -228,6 +228,16 @@ class TestFigureCommand:
             main(["figure", "42"])
 
 
+class TestReplicatesCommand:
+    def test_paired_gain_over_one_grid(self, capsys):
+        code = main(["replicates", "--nodes", "4", "--days", "0.5", "--seeds", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "running 2 seeds × 2 policies" in out
+        assert "LoRaWAN  lifespan" in out and "H-50     lifespan" in out
+        assert "paired lifespan gain:" in out
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -256,7 +266,7 @@ class TestSweepCommand:
         assert "4 runs" in text
         assert "ok: 4" in text
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.sweep/2"
+        assert doc["schema"] == "repro.sweep/3"
         assert doc["run_count"] == 4
         assert doc["ok_count"] == 4
         assert doc["error_count"] == 0
@@ -274,7 +284,7 @@ class TestSweepCommand:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.sweep/2"
+        assert doc["schema"] == "repro.sweep/3"
         assert doc["runs"][0]["status"] == "completed"
         assert doc["runs"][0]["summary"]["avg_prr"] >= 0.0
 
@@ -391,6 +401,36 @@ class TestSweepResume:
         assert [run["index"] for run in redone["runs"]] == [0, 1]
         # the kept cell is byte-for-byte the original record
         assert redone["runs"][0] == finished
+
+    def test_resume_reads_v2_report(self, tmp_path, capsys):
+        out = tmp_path / "SWEEP.json"
+        argv = ["sweep", "--nodes", "4", "--days", "0.5", "--seeds", "2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        fresh = doc["runs"][1]
+        # the report as the v2 layout wrote it: no v3 record fields, one
+        # cell left unfinished
+        v3_fields = ("linear_rates", "simulated_s", "window_histogram",
+                     "mean_calendar_aging", "mean_cycle_aging",
+                     "total_cycle_aging")
+        finished = {k: v for k, v in doc["runs"][0].items() if k not in v3_fields}
+        doc["schema"] = "repro.sweep/2"
+        doc["runs"] = [finished]
+        out.write_text(json.dumps(doc))
+        assert main(["sweep", "--resume", str(out)]) == 0
+        capsys.readouterr()
+        redone = json.loads(out.read_text())
+        assert redone["schema"] == "repro.sweep/3"
+        assert [run["index"] for run in redone["runs"]] == [0, 1]
+        # the kept cell keeps every v2 field and reads None for the rest
+        kept = redone["runs"][0]
+        assert {k: kept[k] for k in finished} == finished
+        assert all(kept[k] is None for k in v3_fields)
+        # the re-run cell carries the v3 fields
+        assert redone["runs"][1]["linear_rates"] == fresh["linear_rates"]
+        assert redone["runs"][1]["window_histogram"] == fresh["window_histogram"]
 
     def test_resume_rejects_report_without_spec(self, tmp_path, capsys):
         report = tmp_path / "SWEEP.json"
