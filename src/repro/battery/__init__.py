@@ -25,12 +25,9 @@ from .rainflow import (
     extract_reversals,
 )
 from .soc_trace import SocTrace, TransitionReport, reconstruct_trace
-from .thermal import AmbientTemperature, BatteryThermalModel
 
 __all__ = [
-    "AmbientTemperature",
     "Battery",
-    "BatteryThermalModel",
     "Cycle",
     "DEFAULT_CONSTANTS",
     "DegradationBreakdown",

@@ -165,18 +165,6 @@ class Battery:
         self.stored_j = max(0.0, self.stored_j - energy_j)
         self._advance(now_s)
 
-    def try_discharge(self, energy_j: float, now_s: float) -> bool:
-        """Like :meth:`discharge` but returns False instead of raising."""
-        try:
-            self.discharge(energy_j, now_s)
-        except BatteryDepletedError:
-            return False
-        return True
-
-    def can_supply(self, energy_j: float) -> bool:
-        """Whether the battery currently stores at least ``energy_j``."""
-        return self.stored_j + 1e-12 >= energy_j
-
     def settle(self, now_s: float) -> None:
         """Advance time with no energy flow (records trace duration)."""
         self._advance(now_s)

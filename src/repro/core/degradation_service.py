@@ -146,10 +146,6 @@ class DegradationService:
         for node_id in self._nodes:
             self.recompute(node_id, age_s=age_s, temperature_c=temperature_c)
 
-    def degradation_of(self, node_id: int) -> float:
-        """Last computed degradation ``D_u`` of a node."""
-        return self._state(node_id).degradation
-
     def max_degradation(self) -> float:
         """``D_max`` across the network (0 for an empty network)."""
         if self._max_dirty:

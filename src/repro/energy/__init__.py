@@ -1,6 +1,6 @@
 """Energy-harvesting substrate: synthetic solar model (NREL substitute),
 per-node harvesters, very-short-term forecasters, the software-defined
-battery switch (Eq. 5), and measured-trace utilities.
+battery switch (Eq. 5), and the supercapacitor hybrid storage extension.
 """
 
 from .ar1 import CheckpointedAR1
@@ -17,10 +17,8 @@ from .solar import (
     clear_sky_factor,
     clear_sky_factor_batch,
 )
-from .sources import VibrationModel, WindModel
 from .storage import HybridStorage, Supercapacitor
 from .switch import SoftwareDefinedSwitch, WindowEnergyResult
-from .traces import TabulatedTrace
 
 __all__ = [
     "CheckpointedAR1",
@@ -34,9 +32,6 @@ __all__ = [
     "SoftwareDefinedSwitch",
     "SolarModel",
     "Supercapacitor",
-    "VibrationModel",
-    "TabulatedTrace",
-    "WindModel",
     "WindowEnergyResult",
     "clear_sky_factor",
     "clear_sky_factor_batch",

@@ -1,7 +1,6 @@
-"""Checkpointed lazy AR(1) chains shared by the stochastic weather models.
+"""Checkpointed lazy AR(1) chain behind the stochastic cloud model.
 
-:class:`~repro.energy.solar.CloudProcess` and
-:class:`~repro.energy.sources.WindModel` both sample a mean-reverting
+:class:`~repro.energy.solar.CloudProcess` samples a mean-reverting
 AR(1) state on a fixed time grid, seeded per index so the chain is
 deterministic and independent of query order.  The chain is inherently
 sequential (state *i* depends on state *i−1*), but callers access it

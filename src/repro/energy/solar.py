@@ -221,17 +221,15 @@ class SolarModel:
     #: computed once per deployment instead of once per node).
     POWER_CACHE_LIMIT = 131072
     WINDOW_CACHE_LIMIT = 4096
-    DAILY_CACHE_LIMIT = 16384
 
     #: Memo tables of pure functions: never pickled, rebuilt empty.
-    _CACHES = ("_power_cache", "_window_cache", "_daily_cache")
+    _CACHES = ("_power_cache", "_window_cache")
 
     def __post_init__(self) -> None:
         if self.peak_watts <= 0:
             raise ConfigurationError("peak_watts must be positive")
         self._power_cache: dict = {}
         self._window_cache: dict = {}
-        self._daily_cache: dict = {}
 
     def __getstate__(self) -> dict:
         # Snapshots carry no memo table: each holds only pure-function
@@ -243,7 +241,9 @@ class SolarModel:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Also empties the tables older snapshots still carry.
+        # Also empties the tables older snapshots still carry, and drops
+        # their retired daily-energy table.
+        self.__dict__.pop("_daily_cache", None)
         for name in self._CACHES:
             setattr(self, name, {})
 
@@ -346,18 +346,3 @@ class SolarModel:
                 self._window_cache.clear()
             self._window_cache[key] = cached
         return list(cached)
-
-    def daily_energy_j(self, day_start_s: float, resolution_s: float = 900.0) -> float:
-        """Total energy harvested over one day (numeric integral)."""
-        key = (day_start_s, resolution_s)
-        cached = self._daily_cache.get(key)
-        if cached is None:
-            steps = int(SECONDS_PER_DAY / resolution_s)
-            cached = sum(
-                self.power_watts(day_start_s + (i + 0.5) * resolution_s) * resolution_s
-                for i in range(steps)
-            )
-            if len(self._daily_cache) >= self.DAILY_CACHE_LIMIT:
-                self._daily_cache.clear()
-            self._daily_cache[key] = cached
-        return cached

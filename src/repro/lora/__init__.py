@@ -10,29 +10,12 @@ from .channels import (
     Channel,
     ChannelHopper,
     ChannelPlan,
-    eu868_downlink_channels,
-    eu868_uplink_channels,
     us915_downlink_channels,
     us915_uplink_channels,
 )
-from .collision import (
-    CollisionDetector,
-    Transmission,
-    aloha_collision_probability,
-    expected_attempts,
-    survives_capture,
-)
+from .collision import CollisionDetector, Transmission, survives_capture
 from .dutycycle import DutyCycleLimiter
-from .frames import (
-    FCtrl,
-    Frame,
-    MType,
-    build_ack,
-    build_uplink,
-    parse_ack,
-    parse_uplink,
-    uplink_payload_bytes,
-)
+from .frames import uplink_payload_bytes
 from .link import LogDistanceLink, free_space_path_loss_db, noise_floor_dbm
 from .params import (
     BANDWIDTH_125K,
@@ -78,9 +61,6 @@ __all__ = [
     "DEFAULT_PREAMBLE_SYMBOLS",
     "DEMODULATION_SNR_DB",
     "DutyCycleLimiter",
-    "FCtrl",
-    "Frame",
-    "MType",
     "EnergyModel",
     "LogDistanceLink",
     "RadioPowerProfile",
@@ -88,19 +68,11 @@ __all__ = [
     "SpreadingFactor",
     "Transmission",
     "TxParams",
-    "aloha_collision_probability",
     "bitrate",
-    "build_ack",
-    "build_uplink",
     "datasheet_symbol_count",
-    "eu868_downlink_channels",
-    "eu868_uplink_channels",
-    "expected_attempts",
     "free_space_path_loss_db",
     "low_data_rate_optimize",
     "noise_floor_dbm",
-    "parse_ack",
-    "parse_uplink",
     "rx_energy",
     "sleep_energy",
     "survives_capture",

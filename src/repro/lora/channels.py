@@ -39,42 +39,6 @@ US915_UPLINK_500K_SPACING_HZ = 1.6e6
 US915_DOWNLINK_500K_BASE_HZ = 923.3e6
 US915_DOWNLINK_500K_SPACING_HZ = 600e3
 
-#: EU-868 default uplink channel centre frequencies (the three join
-#: channels every LoRaWAN device must support), 125 kHz each.
-EU868_UPLINK_HZ = (868.1e6, 868.3e6, 868.5e6)
-#: EU-868 RX2 downlink frequency.
-EU868_RX2_HZ = 869.525e6
-
-
-def eu868_uplink_channels() -> List[Channel]:
-    """The three mandatory EU-868 uplink channels (125 kHz).
-
-    EU deployments combine these with the 1 % duty-cycle budget
-    (``SimulationConfig.duty_cycle = 0.01``); the paper's evaluation is
-    US-915, but the protocol is region-agnostic.
-    """
-    return [
-        Channel(index=i, center_hz=hz, bandwidth_hz=BANDWIDTH_125K)
-        for i, hz in enumerate(EU868_UPLINK_HZ)
-    ]
-
-
-def eu868_downlink_channels() -> List[Channel]:
-    """EU-868 downlink: the uplink channels (RX1) plus RX2 at 869.525 MHz."""
-    channels = [
-        Channel(index=i, center_hz=hz, bandwidth_hz=BANDWIDTH_125K, uplink=False)
-        for i, hz in enumerate(EU868_UPLINK_HZ)
-    ]
-    channels.append(
-        Channel(
-            index=len(channels),
-            center_hz=EU868_RX2_HZ,
-            bandwidth_hz=BANDWIDTH_125K,
-            uplink=False,
-        )
-    )
-    return channels
-
 
 def us915_uplink_channels() -> List[Channel]:
     """The 64 × 125 kHz + 8 × 500 kHz US-915 uplink channels."""
@@ -130,32 +94,6 @@ class ChannelPlan:
             if channel.index in seen:
                 raise ConfigurationError(f"duplicate uplink channel index {channel.index}")
             seen.add(channel.index)
-
-    @classmethod
-    def single_channel(cls) -> "ChannelPlan":
-        """One 125 kHz uplink channel — the paper's testbed configuration."""
-        plan = cls()
-        return cls(uplink=plan.uplink[:1], downlink=plan.downlink[:1])
-
-    @classmethod
-    def eu868(cls) -> "ChannelPlan":
-        """The EU-868 region plan (three mandatory channels + RX2)."""
-        return cls(
-            uplink=eu868_uplink_channels(), downlink=eu868_downlink_channels()
-        )
-
-    @classmethod
-    def sub_band(cls, sub_band_index: int = 1) -> "ChannelPlan":
-        """Eight contiguous 125 kHz channels (a US-915 sub-band).
-
-        Gateways like the RAK2245 used in the paper listen on one 8-channel
-        sub-band; this is the realistic large-scale configuration.
-        """
-        if not 0 <= sub_band_index < 8:
-            raise ConfigurationError("sub_band_index must be in [0, 8)")
-        plan = cls()
-        start = sub_band_index * 8
-        return cls(uplink=plan.uplink[start : start + 8], downlink=plan.downlink)
 
     def subset(self, count: int) -> "ChannelPlan":
         """Restrict the plan to the first ``count`` uplink channels."""

@@ -7,16 +7,15 @@ LoRaWAN module the paper builds on.  When two same-SF/same-channel
 transmissions overlap, the *capture effect* lets the stronger one survive
 if it exceeds the other by :data:`~repro.lora.params.CAPTURE_THRESHOLD_DB`.
 
-This module supplies both the exact pairwise test used by the
-event-driven engine and the analytic ALOHA collision probability used by
-the mesoscopic multi-year runner.
+This module supplies the exact pairwise test used by the event-driven
+engine's gateway.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..exceptions import ConfigurationError
 from .params import CAPTURE_THRESHOLD_DB, SpreadingFactor
@@ -123,72 +122,7 @@ class CollisionDetector:
         self._doomed.discard(key)
         return survived
 
-    @property
-    def active_count(self) -> int:
-        """Number of transmissions currently on air."""
-        return len(self._active)
-
-    def active_on(self, channel_index: int, sf: Optional[SpreadingFactor] = None) -> int:
-        """Number of in-flight transmissions on a channel (and SF, if given)."""
-        return sum(
-            1
-            for t in self._active
-            if t.channel_index == channel_index
-            and (sf is None or t.spreading_factor == sf)
-        )
-
     @staticmethod
     def _key(tx: Transmission) -> tuple:
         return (tx.node_id, tx.attempt, tx.start_s)
 
-
-def aloha_collision_probability(
-    contenders: int,
-    airtime_s: float,
-    window_s: float,
-    channels: int = 1,
-) -> float:
-    """Analytic unslotted-ALOHA collision probability inside a window.
-
-    Given ``contenders`` other nodes each placing one transmission of
-    ``airtime_s`` uniformly at random in a window of ``window_s`` seconds
-    spread over ``channels`` equally likely channels, the probability that
-    a tagged transmission overlaps at least one other on its channel is
-
-    .. math::  1 - \\left(1 - \\min(1, 2\\,a/W)/C\\right)^{n}
-
-    the standard vulnerable-period (``2 × airtime``) approximation.  Used
-    by the mesoscopic runner where exact per-attempt overlap would be too
-    slow for multi-year horizons.
-    """
-    if contenders < 0:
-        raise ConfigurationError("contenders cannot be negative")
-    if airtime_s <= 0 or window_s <= 0:
-        raise ConfigurationError("airtime and window must be positive")
-    if channels < 1:
-        raise ConfigurationError("channels must be >= 1")
-    if contenders == 0:
-        return 0.0
-    vulnerable = min(1.0, 2.0 * airtime_s / window_s)
-    per_contender = vulnerable / channels
-    return 1.0 - (1.0 - per_contender) ** contenders
-
-
-def expected_attempts(
-    collision_probability: float, max_attempts: int
-) -> float:
-    """Expected transmission attempts with per-attempt failure probability.
-
-    With i.i.d. per-attempt loss probability ``p`` and a cap of
-    ``max_attempts`` (LoRa allows up to 8), the expected number of
-    attempts is the truncated-geometric mean
-    ``(1 - p**max_attempts) / (1 - p)``.
-    """
-    if not 0.0 <= collision_probability <= 1.0:
-        raise ConfigurationError("collision probability must be in [0, 1]")
-    if max_attempts < 1:
-        raise ConfigurationError("max_attempts must be >= 1")
-    p = collision_probability
-    if p >= 1.0:
-        return float(max_attempts)
-    return (1.0 - p**max_attempts) / (1.0 - p)

@@ -122,21 +122,3 @@ class LogDistanceLink:
             return False
         snr = self.snr_db(rssi, params.bandwidth_hz)
         return snr >= params.demodulation_snr_db
-
-    def max_range_m(self, params: TxParams, antenna_gain_db: float = 0.0) -> float:
-        """Largest distance at which a lone packet is still receivable.
-
-        Solves the (deterministic) link budget for distance; useful for
-        validating topologies such as the paper's 5 km deployment radius.
-        """
-        snr_limited_rssi = params.demodulation_snr_db + noise_floor_dbm(
-            params.bandwidth_hz, self.noise_figure_db
-        )
-        min_rssi = max(params.sensitivity_dbm, snr_limited_rssi)
-        budget_db = params.tx_power_dbm + antenna_gain_db - min_rssi
-        excess = budget_db - self._reference_loss_db
-        if excess <= 0:
-            return self.reference_distance_m
-        return self.reference_distance_m * 10.0 ** (
-            excess / (10.0 * self.path_loss_exponent)
-        )

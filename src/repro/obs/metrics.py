@@ -107,10 +107,6 @@ class Gauge:
         """Add ``amount`` to the gauge."""
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self.value -= amount
-
     def max(self, value: float) -> None:
         """Raise the gauge to ``value`` if it is higher (peak tracking)."""
         if value > self.value:

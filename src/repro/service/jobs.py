@@ -13,7 +13,7 @@ Each run owns a directory under ``<data_dir>/runs/<run-id>/``::
 
     spec.json        the submitted spec, verbatim
     state.json       manager-side lifecycle facts (atomic rewrites)
-    SWEEP.json       the sweep report (repro.sweep/2), once available
+    SWEEP.json       the sweep report (repro.sweep/3), once available
     progress.ndjson  one record per finished cell, appended live
     traces/          per-cell run_<index>.jsonl event sinks
     checkpoints/     per-cell checkpoint directories

@@ -468,16 +468,6 @@ class MesoscopicResult:
         worst = max(self.linear_rates.values())
         return model.lifespan_from_linear_rate(worst) / SECONDS_PER_DAY
 
-    def node_lifespan_days(
-        self, node_id: int, model: Optional[DegradationModel] = None
-    ) -> float:
-        """Extrapolated lifespan of one node's battery, in days."""
-        model = model or DegradationModel()
-        return (
-            model.lifespan_from_linear_rate(self.linear_rates[node_id])
-            / SECONDS_PER_DAY
-        )
-
     def max_degradation_at(
         self, elapsed_s: float, model: Optional[DegradationModel] = None
     ) -> float:
@@ -486,13 +476,6 @@ class MesoscopicResult:
 
         worst = max(self.linear_rates.values())
         return nonlinear_degradation(worst * elapsed_s)
-
-    def monthly_max_series(
-        self, months: int, model: Optional[DegradationModel] = None
-    ) -> List[float]:
-        """Fig. 7 series: max network degradation at each month boundary."""
-        month_s = SECONDS_PER_YEAR / 12.0
-        return [self.max_degradation_at((m + 1) * month_s) for m in range(months)]
 
 
 def reject_fault_plan(config: SimulationConfig) -> None:

@@ -153,10 +153,6 @@ class PacketLog:
     def __iter__(self) -> Iterator[PacketRecord]:
         return iter(self._records)
 
-    def for_node(self, node_id: int) -> List[PacketRecord]:
-        """All records of one node, in generation order."""
-        return [r for r in self._records if r.node_id == node_id]
-
     def failures(self) -> List[PacketRecord]:
         """Records of packets that were never ACKed."""
         return [r for r in self._records if not r.delivered]

@@ -63,16 +63,6 @@ class TestChargeDischarge:
         with pytest.raises(BatteryDepletedError):
             battery.discharge(6.0, now_s=1.0)
 
-    def test_try_discharge_returns_false_instead(self):
-        battery = make_battery()
-        assert battery.try_discharge(6.0, now_s=1.0) is False
-        assert battery.try_discharge(1.0, now_s=2.0) is True
-
-    def test_can_supply(self):
-        battery = make_battery()
-        assert battery.can_supply(5.0)
-        assert not battery.can_supply(5.1)
-
     def test_negative_energy_rejected(self):
         battery = make_battery()
         with pytest.raises(ConfigurationError):

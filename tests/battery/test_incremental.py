@@ -6,6 +6,7 @@ The contract under test is *bit-identity*: every breakdown produced by
 tolerance).  See docs/PERFORMANCE.md.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from repro.battery import (
     cached_temperature_stress,
 )
 from repro.battery.degradation import temperature_stress
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BatteryDepletedError, ConfigurationError
 
 XU = DegradationConstants()
 LINEAR = DegradationConstants(cycle_stress_model="linear")
@@ -134,7 +135,8 @@ class TestBatteryIntegration:
             now += rng.uniform(60.0, 3600.0)
             action = rng.random()
             if action < 0.45:
-                battery.try_discharge(rng.uniform(0.0, 8.0), now)
+                with contextlib.suppress(BatteryDepletedError):
+                    battery.discharge(rng.uniform(0.0, 8.0), now)
             elif action < 0.9:
                 battery.charge(rng.uniform(0.0, 8.0), now)
             else:

@@ -57,7 +57,7 @@ class TestDegradationService:
             service.ingest_report(node, TransitionReport(0, 0.4, 5, 0.6), 0.0, 60.0)
             service.ingest_report(node, TransitionReport(0, 0.4, 5, 0.6), 1800.0, 60.0)
         service.recompute_all(age_s=SECONDS_PER_DAY)
-        assert service.degradation_of(1) > 0
+        assert service._nodes[1].degradation > 0
         assert service.node_count == 2
 
     def test_dissemination_respects_interval(self):

@@ -1,9 +1,8 @@
 """Tests for the checkpointed AR(1) chain and the weather-model caches.
 
-The regression pinned here: :class:`CloudProcess` (and ``WindModel``)
-must return *identical* states for any access order — sequential,
-jump-ahead, or rewind — while storing only O(max_index /
-checkpoint_every) state.  Before this subsystem the per-index cache
+The regression pinned here: :class:`CloudProcess` must return
+*identical* states for any access order — sequential, jump-ahead, or
+rewind — while storing only O(max_index / checkpoint_every) state.  Before this subsystem the per-index cache
 grew with every distinct index touched.
 """
 
@@ -12,7 +11,6 @@ import random
 import pytest
 
 from repro.energy import CheckpointedAR1, CloudProcess, SolarModel
-from repro.energy.sources import WindModel
 from repro.exceptions import ConfigurationError
 
 
@@ -89,18 +87,6 @@ class TestCloudProcessAccessOrder:
             assert 0.0 < cloud.factor(float(i)) < 1.0
 
 
-class TestWindModelAccessOrder:
-    def test_sequential_vs_jump_access_identical(self):
-        sequential = WindModel(seed=21)
-        jumpy = WindModel(seed=21)
-        times = [i * 30.0 for i in range(300)]
-        expected = [sequential.power_watts(t) for t in times]
-        shuffled = list(enumerate(times))
-        random.Random(4).shuffle(shuffled)
-        for i, t in shuffled:
-            assert jumpy.power_watts(t) == expected[i], f"t={t}"
-
-
 class TestSolarModelCaches:
     def test_power_memo_matches_fresh_model(self):
         cached = SolarModel(clouds=CloudProcess(seed=5))
@@ -120,9 +106,3 @@ class TestSolarModelCaches:
             start_s=40_000.0, window_s=60.0, count=5
         )
         assert again[0] != -1.0
-
-    def test_daily_energy_memo_is_stable(self):
-        model = SolarModel(clouds=CloudProcess(seed=7))
-        first = model.daily_energy_j(0.0)
-        assert model.daily_energy_j(0.0) == first
-        assert first == SolarModel(clouds=CloudProcess(seed=7)).daily_energy_j(0.0)

@@ -121,7 +121,7 @@ class TestSolarModel:
 
     def test_daily_energy_positive_and_reasonable(self):
         model = SolarModel(peak_watts=1.0e-3)
-        daily = model.daily_energy_j(0.0)
+        daily = sum(model.window_energies(0.0, 900.0, 96))
         # Half-sine over 12 h at 1 mW peak ≈ 27 J upper bound.
         assert 5.0 < daily < 35.0
 

@@ -332,7 +332,7 @@ def _device(capacity, soc, peak_watts, sigma, log):
         harvester=harvester,
         forecaster=OracleForecaster(harvester),
         mac=LorawanAlohaMac(),
-        hopper=ChannelHopper(ChannelPlan.single_channel(), rng=random.Random(1)),
+        hopper=ChannelHopper(ChannelPlan().subset(1), rng=random.Random(1)),
         window_s=60.0,
         energy_model=EnergyModel(),
         rng=random.Random(1),

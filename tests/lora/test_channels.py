@@ -48,17 +48,8 @@ class TestUs915Plan:
 
 class TestChannelPlan:
     def test_single_channel_plan(self):
-        plan = ChannelPlan.single_channel()
+        plan = ChannelPlan().subset(1)
         assert plan.uplink_count == 1
-
-    def test_sub_band_has_8_channels(self):
-        plan = ChannelPlan.sub_band(1)
-        assert plan.uplink_count == 8
-        assert plan.uplink[0].index == 8
-
-    def test_sub_band_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            ChannelPlan.sub_band(8)
 
     def test_subset_limits_channels(self):
         assert ChannelPlan().subset(3).uplink_count == 3
@@ -95,7 +86,7 @@ class TestChannelHopper:
             previous = current
 
     def test_single_channel_plan_always_repeats(self):
-        hopper = ChannelHopper(ChannelPlan.single_channel(), rng=random.Random(3))
+        hopper = ChannelHopper(ChannelPlan().subset(1), rng=random.Random(3))
         indices = {hopper.next_channel().index for _ in range(10)}
         assert len(indices) == 1
 
@@ -110,40 +101,3 @@ class TestChannelHopper:
         for count in counts.values():
             assert 800 < count < 1200
 
-
-class TestEu868Plan:
-    def test_three_mandatory_uplink_channels(self):
-        from repro.lora import eu868_uplink_channels
-
-        channels = eu868_uplink_channels()
-        assert len(channels) == 3
-        assert [c.center_hz for c in channels] == [868.1e6, 868.3e6, 868.5e6]
-        assert all(c.bandwidth_hz == BANDWIDTH_125K for c in channels)
-
-    def test_downlink_includes_rx2(self):
-        from repro.lora import eu868_downlink_channels
-
-        channels = eu868_downlink_channels()
-        assert len(channels) == 4
-        assert channels[-1].center_hz == pytest.approx(869.525e6)
-        assert all(not c.uplink for c in channels)
-
-    def test_plan_constructor(self):
-        plan = ChannelPlan.eu868()
-        assert plan.uplink_count == 3
-        assert len(plan.downlink) == 4
-
-    def test_channels_inside_eu_band(self):
-        plan = ChannelPlan.eu868()
-        for channel in plan.uplink + plan.downlink:
-            assert 863e6 < channel.center_hz < 870e6
-
-    def test_no_uplink_overlap(self):
-        plan = ChannelPlan.eu868()
-        for a, b in zip(plan.uplink, plan.uplink[1:]):
-            assert not a.overlaps(b)
-
-    def test_hoppable(self):
-        hopper = ChannelHopper(ChannelPlan.eu868(), rng=random.Random(1))
-        seen = {hopper.next_channel().index for _ in range(60)}
-        assert seen == {0, 1, 2}

@@ -1,4 +1,4 @@
-"""Tests for the collision/capture model and the ALOHA approximation."""
+"""Tests for the collision/capture model."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.lora import (
     CollisionDetector,
     SpreadingFactor,
     Transmission,
-    aloha_collision_probability,
-    expected_attempts,
     survives_capture,
 )
 
@@ -128,52 +126,7 @@ class TestCollisionDetector:
         a, b = tx(), tx(node=1, ch=1)
         det.begin(a)
         det.begin(b)
-        assert det.active_count == 2
-        assert det.active_on(0) == 1
+        assert det._active == [a, b]
         det.end(a)
-        assert det.active_count == 1
+        assert det._active == [b]
 
-
-class TestAlohaApproximation:
-    def test_zero_contenders_zero_probability(self):
-        assert aloha_collision_probability(0, 0.25, 60.0) == 0.0
-
-    def test_probability_increases_with_contenders(self):
-        probs = [
-            aloha_collision_probability(n, 0.25, 60.0) for n in range(0, 20)
-        ]
-        assert all(b > a for a, b in zip(probs, probs[1:]))
-
-    def test_more_channels_reduce_probability(self):
-        one = aloha_collision_probability(10, 0.25, 60.0, channels=1)
-        eight = aloha_collision_probability(10, 0.25, 60.0, channels=8)
-        assert eight < one
-
-    def test_matches_vulnerable_period_formula(self):
-        p = aloha_collision_probability(1, 0.25, 60.0)
-        assert p == pytest.approx(2 * 0.25 / 60.0)
-
-    def test_saturates_at_one(self):
-        assert aloha_collision_probability(1000, 30.0, 60.0) <= 1.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            aloha_collision_probability(-1, 0.25, 60.0)
-        with pytest.raises(ConfigurationError):
-            aloha_collision_probability(1, 0.0, 60.0)
-
-
-class TestExpectedAttempts:
-    def test_no_collisions_one_attempt(self):
-        assert expected_attempts(0.0, 8) == 1.0
-
-    def test_certain_collision_uses_all_attempts(self):
-        assert expected_attempts(1.0, 8) == 8.0
-
-    def test_truncated_geometric_value(self):
-        # p=0.5, cap 3: (1 - 0.125) / 0.5 = 1.75
-        assert expected_attempts(0.5, 3) == pytest.approx(1.75)
-
-    def test_rejects_invalid_probability(self):
-        with pytest.raises(ConfigurationError):
-            expected_attempts(1.5, 8)

@@ -1,156 +1,20 @@
-"""Tests for the LoRaWAN frame codec."""
+"""Tests for the uplink payload sizing of the piggybacked battery report."""
 
 import pytest
 
 from repro.battery import TransitionReport
-from repro.exceptions import ConfigurationError, ProtocolError
-from repro.lora import (
-    FCtrl,
-    Frame,
-    MType,
-    build_ack,
-    build_uplink,
-    parse_ack,
-    parse_uplink,
-)
-
-
-class TestFCtrl:
-    def test_round_trip(self):
-        fctrl = FCtrl(adr=True, ack=True, fopts_length=3)
-        assert FCtrl.decode(fctrl.encode()) == fctrl
-
-    def test_all_flags(self):
-        for octet in range(256):
-            decoded = FCtrl.decode(octet)
-            assert decoded.encode() == octet
-
-    def test_rejects_long_fopts(self):
-        with pytest.raises(ConfigurationError):
-            FCtrl(fopts_length=16)
-
-
-class TestFrameCodec:
-    def frame(self, **kwargs):
-        defaults = dict(
-            mtype=MType.CONFIRMED_UP,
-            dev_addr=0xDEADBEEF,
-            fcnt=42,
-            payload=b"hello",
-            fport=1,
-        )
-        defaults.update(kwargs)
-        return Frame(**defaults)
-
-    def test_encode_decode_round_trip(self):
-        frame = self.frame()
-        decoded = Frame.decode(frame.encode(key=b"k"), key=b"k")
-        assert decoded == frame
-
-    def test_wire_size_accounting(self):
-        frame = self.frame()
-        assert len(frame.encode()) == frame.wire_size
-
-    def test_mic_detects_tampering(self):
-        data = bytearray(self.frame().encode(key=b"k"))
-        data[10] ^= 0xFF
-        with pytest.raises(ProtocolError):
-            Frame.decode(bytes(data), key=b"k")
-
-    def test_mic_detects_wrong_key(self):
-        data = self.frame().encode(key=b"alpha")
-        with pytest.raises(ProtocolError):
-            Frame.decode(data, key=b"beta")
-
-    def test_verify_can_be_skipped(self):
-        data = self.frame().encode(key=b"alpha")
-        decoded = Frame.decode(data, key=b"beta", verify=False)
-        assert decoded.dev_addr == 0xDEADBEEF
-
-    def test_empty_payload_without_port(self):
-        frame = self.frame(payload=b"", fport=None)
-        decoded = Frame.decode(frame.encode())
-        assert decoded.fport is None
-        assert decoded.payload == b""
-
-    def test_fopts_round_trip(self):
-        frame = self.frame(fopts=b"\x07\x08")
-        decoded = Frame.decode(frame.encode())
-        assert decoded.fopts == b"\x07\x08"
-        assert decoded.fctrl.fopts_length == 2
-
-    def test_rejects_payload_without_port(self):
-        with pytest.raises(ConfigurationError):
-            self.frame(payload=b"x", fport=None)
-
-    def test_rejects_wide_devaddr(self):
-        with pytest.raises(ConfigurationError):
-            self.frame(dev_addr=1 << 33)
-
-    def test_rejects_short_frame(self):
-        with pytest.raises(ProtocolError):
-            Frame.decode(b"\x00\x01\x02")
-
-    def test_fcnt_little_endian_on_wire(self):
-        frame = self.frame(fcnt=0x0102)
-        wire = frame.encode()
-        # Bytes 6..8 hold FCnt little-endian.
-        assert wire[6:8] == b"\x02\x01"
+from repro.exceptions import ConfigurationError
+from repro.lora import uplink_payload_bytes
 
 
 class TestPaperFrames:
-    def test_uplink_with_report_costs_four_bytes(self):
-        """Section III-B: the report adds exactly 4 bytes."""
-        plain = build_uplink(1, 0, b"0123456789")
-        with_report = build_uplink(
-            1, 0, b"0123456789", report=TransitionReport(0, 0.4, 5, 0.5)
-        )
-        assert with_report.wire_size - plain.wire_size == 4
-
-    def test_uplink_report_round_trip(self):
-        report = TransitionReport(2, 0.4, 7, 0.55)
-        frame = build_uplink(9, 3, b"data", report=report)
-        decoded = Frame.decode(frame.encode())
-        sensor, parsed = parse_uplink(decoded)
-        assert sensor == b"data"
-        assert parsed.discharge_window == 2
-        assert parsed.recharge_window == 7
-
     def test_uplink_without_report(self):
-        frame = build_uplink(9, 3, b"data")
-        sensor, parsed = parse_uplink(frame)
-        assert sensor == b"data"
-        assert parsed is None
+        assert uplink_payload_bytes(10) == 10
 
-    def test_uplink_confirmed_by_default(self):
-        assert build_uplink(1, 0, b"x").mtype is MType.CONFIRMED_UP
-        assert build_uplink(1, 0, b"x", confirmed=False).mtype is MType.UNCONFIRMED_UP
+    def test_uplink_with_report_costs_four_bytes(self):
+        assert uplink_payload_bytes(10, with_report=True) == 14
+        assert TransitionReport.WIRE_SIZE_BYTES == 4
 
-    def test_plain_ack_has_no_overhead(self):
-        """Dissemination adds exactly 1 byte to an ACK."""
-        plain = build_ack(1, 0)
-        with_w = build_ack(1, 0, w_byte=128)
-        assert with_w.wire_size - plain.wire_size == 1
-
-    def test_ack_w_round_trip(self):
-        frame = Frame.decode(build_ack(1, 5, w_byte=200).encode())
-        assert frame.fctrl.ack
-        assert parse_ack(frame) == 200
-
-    def test_plain_ack_parses_to_none(self):
-        assert parse_ack(build_ack(1, 5)) is None
-
-    def test_parse_ack_rejects_non_ack(self):
-        with pytest.raises(ProtocolError):
-            parse_ack(build_uplink(1, 0, b"x"))
-
-    def test_parse_uplink_rejects_truncated_report(self):
-        frame = Frame(
-            mtype=MType.CONFIRMED_UP,
-            dev_addr=1,
-            fcnt=0,
-            payload=b"ab",
-            fport=10,  # REPORT_FPORT but payload < 4 bytes
-        )
-        with pytest.raises(ProtocolError):
-            parse_uplink(frame)
+    def test_rejects_negative_size(self):
+        with pytest.raises(ConfigurationError):
+            uplink_payload_bytes(-1)

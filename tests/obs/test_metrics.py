@@ -35,7 +35,7 @@ class TestGauge:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(3.0)
         gauge.inc()
-        gauge.dec(2.0)
+        gauge.inc(-2.0)
         assert gauge.value == 2.0
         gauge.max(10.0)
         gauge.max(5.0)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.battery import DegradationModel
 from repro.constants import SECONDS_PER_DAY
 from repro.sim import (
     MesoscopicSimulator,
@@ -149,16 +150,12 @@ class TestMesoscopicRuns:
 
     def test_network_lifespan_is_worst_node(self):
         result = run_mesoscopic(meso_config().as_lorawan())
+        model = DegradationModel()
         per_node = [
-            result.node_lifespan_days(node_id) for node_id in result.linear_rates
+            model.lifespan_from_linear_rate(rate) / SECONDS_PER_DAY
+            for rate in result.linear_rates.values()
         ]
         assert result.network_lifespan_days() == pytest.approx(min(per_node))
-
-    def test_monthly_max_series_monotone(self):
-        result = run_mesoscopic(meso_config().as_lorawan())
-        series = result.monthly_max_series(60)
-        assert len(series) == 60
-        assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_max_degradation_at_grows_with_time(self):
         result = run_mesoscopic(meso_config().as_lorawan())

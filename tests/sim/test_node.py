@@ -38,7 +38,7 @@ def make_device(mac=None, soc=0.5, peak_watts=2.0e-3, capacity=12.0):
         harvester=harvester,
         forecaster=OracleForecaster(harvester),
         mac=mac,
-        hopper=ChannelHopper(ChannelPlan.single_channel(), rng=random.Random(1)),
+        hopper=ChannelHopper(ChannelPlan().subset(1), rng=random.Random(1)),
         window_s=60.0,
         energy_model=model,
         rng=random.Random(1),

@@ -58,13 +58,6 @@ class TestPacketLog:
         assert [r.node_id for r in log] == [0, 2, 1]
         assert (log.generated, log.energy_drops) == (3, 1)
 
-    def test_for_node(self):
-        log = PacketLog()
-        log.append(record(0))
-        log.append(record(1))
-        log.append(record(0))
-        assert len(log.for_node(0)) == 2
-
     def test_failures_filter(self):
         log = PacketLog()
         log.append(record(0, delivered=True))
@@ -117,7 +110,6 @@ class TestPacketLog:
         log.append(record(0, delivered=False))
         log.append(record(1, delivered=False))
         log.append(record(2, delivered=True))
-        assert log.for_node(0) == []
         assert [r.node_id for r in log.failures()] == [1]
         assert [r.node_id for r in log.where(lambda r: True)] == [1, 2]
 

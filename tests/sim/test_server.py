@@ -45,7 +45,7 @@ class TestNetworkServer:
                 window_s=60.0,
             )
         server.recompute_degradations(age_s=SECONDS_PER_DAY)
-        assert server.service.degradation_of(1) > 0
+        assert server.service._nodes[1].degradation > 0
 
     def test_counters(self):
         server = NetworkServer()

@@ -31,7 +31,6 @@ SUBMODULES = [
     "repro.battery.degradation",
     "repro.battery.rainflow",
     "repro.battery.soc_trace",
-    "repro.battery.thermal",
     "repro.core.centralized",
     "repro.core.degradation_service",
     "repro.core.dif",
@@ -42,10 +41,8 @@ SUBMODULES = [
     "repro.energy.forecast",
     "repro.energy.harvester",
     "repro.energy.solar",
-    "repro.energy.sources",
     "repro.energy.storage",
     "repro.energy.switch",
-    "repro.energy.traces",
     "repro.experiments.figures",
     "repro.experiments.overhead",
     "repro.experiments.report",
