@@ -165,7 +165,8 @@ class _SnapshotUnpickler(pickle.Unpickler):
     """The counterpart of :class:`_SnapshotPickler`: globals listed in
     :mod:`.retired` load through its table.  A retired class loads as a
     ``SimpleNamespace``; a class holding retired state loads as a
-    throwaway subclass whose instances shed it, then become plain."""
+    throwaway subclass whose instances shed it, then become plain and
+    take what is left through the class's own ``__setstate__``, if any."""
 
     def find_class(self, module: str, name: str):
         key = (module, name)
@@ -174,6 +175,7 @@ class _SnapshotUnpickler(pickle.Unpickler):
         cls = super().find_class(module, name)
         if key not in _HOLDERS:
             return cls
+        restore = getattr(cls, "__setstate__", None)
 
         def __setstate__(obj, state: Dict[str, object]) -> None:
             object.__setattr__(obj, "__class__", cls)
@@ -190,7 +192,10 @@ class _SnapshotUnpickler(pickle.Unpickler):
                         convert(e) if type(e) is types.SimpleNamespace else e
                         for e in state[attribute]
                     ]
-            obj.__dict__.update(state)
+            if restore is None:
+                obj.__dict__.update(state)
+            else:
+                restore(obj, state)
 
         return type(name, (cls,), {"__slots__": (), "__setstate__": __setstate__})
 

@@ -20,6 +20,8 @@ FIELDS = {
         (True,),
         "batch degradation refresh; its batteries have no streaming accumulator to resume",
     ),
+    "adr_enabled": ((False,), "ADR is gone; the resumed run would fix every SF and TX power"),
+    "duty_cycle": ((1.0,), "the duty-cycle limiter is gone; the resumed run would ignore it"),
 }
 
 #: Retired attributes: holder class, by its global -> names dropped on load.
@@ -27,6 +29,7 @@ ATTRIBUTES = {
     ("repro.sim.mesoscopic", "MesoNode"): ("rng",),
     ("repro.energy.harvester", "Harvester"): ("_rng_scratch",),
     ("repro.battery.battery", "Battery"): ("incremental",),
+    ("repro.sim.engine", "Simulator"): ("adr", "duty_cycle"),
 }
 
 #: Retired classes, which unpickle as ``types.SimpleNamespace``: old global

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         dest="w_u_ttl_days",
-        help="TTL (days) before nodes decay a stale disseminated w_u",
+        help="TTL (days) before nodes decay a stale disseminated w_u (exact engine)",
     )
     simulate.add_argument(
         "--memory-profile",
@@ -585,12 +585,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     engine = args.engine
     notices: List[str] = []
-    if config.faults is not None and engine != "exact":
-        # The mesoscopic runner has no event boundaries to inject at.
-        notices.append("fault plan supplied: switching to the exact engine")
+    # The mesoscopic runner has no event boundaries to inject faults at
+    # and never ages a disseminated w_u.
+    exact_flag = (
+        "a --faults spec" if config.faults is not None
+        else "a --w-u-ttl-days value" if config.w_u_ttl_s is not None
+        else None
+    )
+    if exact_flag is not None and engine != "exact":
+        notices.append(f"{exact_flag} needs the exact engine: switching to it")
         engine = "exact"
     if engine == "exact" and config.memory_profile == "diet":
-        reason = " (a --faults spec selects it)" if config.faults is not None else ""
+        reason = f" ({exact_flag} selects it)" if exact_flag is not None else ""
         print(
             f"--memory-profile diet needs the meso engine; the exact "
             f"engine{reason} keeps full per-node state",

@@ -1,11 +1,10 @@
 """LoRa physical-layer substrate: parameters, airtime/energy, channels,
-propagation, collisions, duty cycling, and ADR.
+propagation, and collisions.
 
 This package reimplements the physical-layer facts the paper takes from
 the SX1276 datasheet [23] and the NS-3 LoRaWAN module [25].
 """
 
-from .adr import AdrController, AdrDecision
 from .channels import (
     Channel,
     ChannelHopper,
@@ -14,7 +13,6 @@ from .channels import (
     us915_uplink_channels,
 )
 from .collision import CollisionDetector, Transmission, survives_capture
-from .dutycycle import DutyCycleLimiter
 from .frames import uplink_payload_bytes
 from .link import LogDistanceLink, free_space_path_loss_db, noise_floor_dbm
 from .params import (
@@ -44,8 +42,6 @@ from .phy import (
 from .tables import AirtimeEntry, AirtimeTable, airtime_table
 
 __all__ = [
-    "AdrController",
-    "AdrDecision",
     "AirtimeEntry",
     "AirtimeTable",
     "airtime_table",
@@ -60,7 +56,6 @@ __all__ = [
     "CollisionDetector",
     "DEFAULT_PREAMBLE_SYMBOLS",
     "DEMODULATION_SNR_DB",
-    "DutyCycleLimiter",
     "EnergyModel",
     "LogDistanceLink",
     "RadioPowerProfile",

@@ -20,11 +20,10 @@ def uplink_payload_bytes(
 ) -> int:
     """FRMPayload size of an uplink, optionally with the 4-byte report.
 
-    The airtime/energy tables are keyed per payload size; a report-
-    bearing uplink is exactly ``TransitionReport.WIRE_SIZE_BYTES`` (4)
-    bytes longer than a plain one (Section III-B's overhead accounting),
-    so the two variants get distinct :class:`~repro.lora.tables
-    .AirtimeTable` entries.
+    A report-bearing uplink is exactly ``TransitionReport.WIRE_SIZE_BYTES``
+    (4) bytes longer than a plain one (Section III-B's overhead
+    accounting).  Neither engine calls this yet: both time and cost
+    every uplink at ``SimulationConfig.payload_bytes``, report or not.
     """
     if sensor_payload_bytes < 0:
         raise ConfigurationError("payload size cannot be negative")

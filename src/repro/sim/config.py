@@ -58,12 +58,6 @@ class SimulationConfig:
     ewma_beta: float = 0.3
     #: Maximum retransmissions per packet (LoRa limit).
     max_retransmissions: int = 8
-    #: Whether the network server runs margin-based ADR on uplink SNR
-    #: (exact engine only; the evaluation fixes SF per node).
-    adr_enabled: bool = False
-    #: Regulatory duty-cycle budget enforced per node (1.0 = disabled;
-    #: EU-style deployments use 0.01).
-    duty_cycle: float = 1.0
 
     # ------------------------------------------------------------------ time
     #: Sampling-period range in seconds (paper: [16, 60] minutes).
@@ -114,12 +108,13 @@ class SimulationConfig:
     #: Fault-injection plan (ACK loss, gateway outages, node reboots,
     #: clock skew, forecast corruption).  None simulates the fault-free
     #: world of the paper's evaluation.  Exact engine only; the
-    #: mesoscopic runner ignores the plan.
+    #: mesoscopic and sharded engines refuse a non-empty plan.
     faults: Optional[FaultPlan] = None
     #: TTL applied by BLAM nodes to the disseminated ``w_u`` — past it
     #: the weight decays toward the new-battery default instead of
     #: steering the DIF with stale data.  None disables staleness
-    #: tracking (the paper's implicit fault-free assumption).
+    #: tracking (the paper's implicit fault-free assumption).  Exact
+    #: engine only; the mesoscopic and sharded engines refuse a TTL.
     w_u_ttl_s: Optional[float] = None
 
     # ----------------------------------------------------------- performance
@@ -218,8 +213,6 @@ class SimulationConfig:
             raise ConfigurationError("start_jitter_s cannot be negative")
         if self.gateway_count < 1:
             raise ConfigurationError("gateway_count must be >= 1")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ConfigurationError("duty_cycle must be in (0, 1]")
         if self.forecaster not in ("oracle", "noisy", "persistence"):
             raise ConfigurationError(
                 "forecaster must be 'oracle', 'noisy' or 'persistence'"

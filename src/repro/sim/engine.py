@@ -11,7 +11,6 @@ testbed-scale scenarios (tens of nodes, hours-to-weeks); multi-year
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -48,14 +47,7 @@ from ..energy import (
     PersistenceForecaster,
     SolarModel,
 )
-from ..lora import (
-    AdrController,
-    ChannelHopper,
-    ChannelPlan,
-    DutyCycleLimiter,
-    LogDistanceLink,
-    Transmission,
-)
+from ..lora import ChannelHopper, ChannelPlan, LogDistanceLink, Transmission
 from ..obs import (
     Observability,
     RunManifest,
@@ -182,12 +174,6 @@ class Simulator:
             else None
         )
         self._bind_queue()
-        self.adr = AdrController() if config.adr_enabled else None
-        self.duty_cycle = (
-            DutyCycleLimiter(duty_cycle=config.duty_cycle)
-            if config.duty_cycle < 1.0
-            else None
-        )
         plan = ChannelPlan().subset(config.channel_count)
         # The regional solar model every node's harvester shares.
         solar = SolarModel(
@@ -734,13 +720,6 @@ class Simulator:
         now = self.queue.now_s
         if node.packet is not packet:
             return  # Packet failed at a period boundary or lost to a reboot.
-        if self.duty_cycle is not None and not self.duty_cycle.can_transmit(
-            node.node_id, now
-        ):
-            # Regulatory off-period still running: defer the attempt.
-            resume = self.duty_cycle.next_allowed_time(node.node_id)
-            self.queue.schedule_event(resume, "attempt", node, packet)
-            return
         if not node.draw_attempt_energy(now):
             # Brown-out: battery cannot fund the attempt.
             node.metrics.packets_dropped_energy += 1
@@ -784,8 +763,6 @@ class Simulator:
                 attempt=packet.attempt,
             )
             tokens.append((gateway, gateway.begin_reception(tx, node.tx_params)))
-        if self.duty_cycle is not None:
-            self.duty_cycle.record(node.node_id, now, node.airtime_s)
         self.queue.schedule_event(
             now + node.airtime_s, "attempt_end", node, packet, tokens
         )
@@ -803,10 +780,6 @@ class Simulator:
             return
         if delivered:
             ack_time = now + self.ACK_DELAY_S
-            if self.adr is not None:
-                best_rssi = max(token.transmission.rssi_dbm for _, token in tokens)
-                snr = self.link.snr_db(best_rssi, node.tx_params.bandwidth_hz)
-                self.adr.record_uplink(node.node_id, snr)
             # The uplink reached the network server: the piggybacked
             # report is consumed whether or not the ACK makes it back.
             report = node.take_pending_report()
@@ -821,18 +794,6 @@ class Simulator:
                 node.node_id, ack_time
             )
             if not ack_lost:
-                if self.adr is not None:
-                    # ADR decisions travel in the downlink, so they only
-                    # reach the node when the ACK does.
-                    decision = self.adr.decide(node.node_id, node.tx_params)
-                    if decision.changed:
-                        node.update_tx_params(
-                            dataclasses.replace(
-                                node.tx_params,
-                                spreading_factor=decision.spreading_factor,
-                                tx_power_dbm=decision.tx_power_dbm,
-                            )
-                        )
                 if payload.w_u is not None:
                     node.mac.set_normalized_degradation(
                         payload.w_u, received_at_s=ack_time
@@ -858,12 +819,6 @@ class Simulator:
                 self.injector.record_retry_exhausted()
             node.finish_packet(now, delivered=False, latency_s=node.period_s)
             return
-        if self.duty_cycle is not None:
-            # The regulatory off-period floors the backoff; scheduling
-            # inside it would only bounce off the duty-cycle guard.
-            backoff = max(
-                backoff, self.duty_cycle.remaining_off_s(node.node_id, now)
-            )
         self.queue.schedule_event(now + backoff, "attempt", node, packet)
 
     def _on_reboot(self, node: EndDevice) -> None:

@@ -479,16 +479,23 @@ class MesoscopicResult:
 
 
 def reject_fault_plan(config: SimulationConfig) -> None:
-    """Raise when ``config`` carries a non-empty fault plan.
+    """Raise when ``config`` carries a non-empty fault plan or a ``w_u`` TTL.
 
-    Only the exact engine has per-event boundaries to inject faults at;
-    the mesoscopic and sharded engines would otherwise drop the plan
-    silently.  An empty plan (``FaultPlan.is_empty``) is allowed.
+    Only the exact engine has per-event boundaries to inject faults at,
+    and only it stamps each disseminated ``w_u`` with its arrival time,
+    which the TTL ages from; the mesoscopic and sharded engines would
+    otherwise drop both silently.  An empty plan (``FaultPlan.is_empty``)
+    is allowed.
     """
     if config.faults is not None and not config.faults.is_empty:
         raise ConfigurationError(
             "fault plans need the exact engine; the mesoscopic and "
             "sharded engines cannot inject faults"
+        )
+    if config.w_u_ttl_s is not None:
+        raise ConfigurationError(
+            "w_u_ttl_s needs the exact engine; the mesoscopic and "
+            "sharded engines never age a disseminated w_u"
         )
 
 

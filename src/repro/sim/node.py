@@ -94,8 +94,8 @@ class EndDevice:
         # PHY constants come from the process-wide precomputed table;
         # entries are built through the same time_on_air/tx_energy
         # functions, so the values are bit-identical to direct calls.
-        self._airtime_table = airtime_table(self.energy_model)
-        entry = self._airtime_table.entry(tx_params)
+        # ``tx_params`` is fixed for the node's lifetime, and so are they.
+        entry = airtime_table(self.energy_model).entry(tx_params)
         self.airtime_s = entry.airtime_s
         #: Eq. (6) energy of one attempt (the TX-energy metric's unit).
         self.tx_energy_j = entry.tx_energy_j
@@ -123,21 +123,17 @@ class EndDevice:
     # -------------------------------------------------------- checkpointing
 
     def __getstate__(self):
-        """Snapshot without the process-wide PHY lookup table or the link.
+        """Snapshot without the RSSI derived from the link.
 
-        The link and the RSSI derived from it are the engine's; it binds
-        them again on resume (:meth:`bind_link`).
+        The link is the engine's; it binds it again on resume
+        (:meth:`bind_link`).
         """
         state = dict(self.__dict__)
-        for derived in ("_airtime_table", "_link", "gateway_rssi_dbm"):
-            state.pop(derived, None)
+        state.pop("gateway_rssi_dbm", None)
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        # Shared-table lookup is keyed by the (frozen, hashable) energy
-        # model, so the resumed node rejoins the process-wide cache.
-        self._airtime_table = airtime_table(self.energy_model)
         self.bind_link(None)
 
     def bind_link(
@@ -146,38 +142,19 @@ class EndDevice:
         """Attach the link the node's uplinks cross to every gateway.
 
         :attr:`gateway_rssi_dbm` then holds the node's RSSI at each
-        gateway of ``placement.gateway_distances_m`` for its current TX
-        power, and :meth:`update_tx_params` recomputes it; without a
-        link it is None.
+        gateway of ``placement.gateway_distances_m`` for its TX power;
+        without a link it is None.
         """
-        self._link = None if link is None else (link, antenna_gain_db)
-        self._update_rssi()
-
-    def _update_rssi(self) -> None:
-        if self._link is None:
+        if link is None:
             self.gateway_rssi_dbm = None
             return
-        link, gain = self._link
         power = self.tx_params.tx_power_dbm
         self.gateway_rssi_dbm = tuple(
-            link.rssi_dbm(power, distance, antenna_gain_db=gain)
+            link.rssi_dbm(power, distance, antenna_gain_db=antenna_gain_db)
             for distance in self.placement.gateway_distances_m
         )
 
     # ------------------------------------------------------------ properties
-
-    def update_tx_params(self, params: TxParams) -> None:
-        """Apply new transmission parameters (ADR) and refresh energies.
-
-        Dynamic parameter changes are exactly why the protocol estimates
-        TX energy with the Eq. (13) EWMA instead of trusting a constant.
-        """
-        self.tx_params = params
-        entry = self._airtime_table.entry(params)
-        self.airtime_s = entry.airtime_s
-        self.tx_energy_j = entry.tx_energy_j
-        self.attempt_energy_j = entry.attempt_energy_j
-        self._update_rssi()
 
     @property
     def node_id(self) -> int:

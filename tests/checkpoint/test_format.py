@@ -105,14 +105,18 @@ class TestEnvelope:
         assert config_hash(plain) == config_hash(checkpointed)
 
     def test_config_hash_ignores_retired_refresh_flags(self):
-        # A config pickled before the batch degradation refresh was
-        # retired still carries its two flags; unpickled, it hashes as
-        # a fresh config with the same remaining fields.
+        # A config pickled before the batch degradation refresh, ADR and
+        # the duty-cycle limiter were retired still carries their
+        # fields; unpickled, it hashes as a fresh config with the same
+        # remaining fields.
         old = small_config()
         object.__setattr__(old, "incremental_degradation", True)
         object.__setattr__(old, "compact_trace", False)
+        object.__setattr__(old, "adr_enabled", False)
+        object.__setattr__(old, "duty_cycle", 1.0)
         loaded = pickle.loads(pickle.dumps(old))
         assert loaded.incremental_degradation is True
+        assert loaded.duty_cycle == 1.0
         assert config_hash(loaded) == config_hash(small_config())
 
 

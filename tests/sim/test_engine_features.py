@@ -1,8 +1,7 @@
-"""Tests for optional engine features: ADR, duty cycle, forecaster choice."""
+"""Tests for an optional engine feature: the forecaster choice."""
 
 import pytest
 
-from repro.lora import SpreadingFactor
 from repro.energy import NoisyForecaster, OracleForecaster, PersistenceForecaster
 from repro.sim import SimulationConfig, Simulator, build_forecaster, run_simulation
 from repro.exceptions import ConfigurationError
@@ -18,66 +17,6 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
-
-
-class TestAdrIntegration:
-    def test_adr_lowers_sf_for_close_nodes(self):
-        """Nodes 100 m away at SF10 have huge margin: ADR should drop SF."""
-        config = small_config(
-            adr_enabled=True,
-            duration_s=12 * 3600.0,
-            fixed_sf=SpreadingFactor.SF10,
-        ).as_lorawan()
-        simulator = Simulator(config)
-        simulator.run()
-        final_sfs = {
-            int(node.tx_params.spreading_factor)
-            for node in simulator.nodes.values()
-        }
-        assert min(final_sfs) < 10
-
-    def test_adr_disabled_keeps_sf(self):
-        config = small_config(adr_enabled=False).as_lorawan()
-        simulator = Simulator(config)
-        simulator.run()
-        assert all(
-            node.tx_params.spreading_factor is SpreadingFactor.SF10
-            for node in simulator.nodes.values()
-        )
-
-    def test_adr_keeps_network_functional(self):
-        config = small_config(adr_enabled=True, duration_s=12 * 3600.0).as_h(0.5)
-        result = run_simulation(config)
-        assert result.metrics.avg_prr > 0.9
-
-
-class TestDutyCycleIntegration:
-    def test_full_duty_cycle_changes_nothing(self):
-        base = small_config().as_lorawan()
-        strict = small_config(duty_cycle=1.0).as_lorawan()
-        assert run_simulation(base).metrics.summary() == run_simulation(
-            strict
-        ).metrics.summary()
-
-    def test_tight_duty_cycle_throttles_retransmissions(self):
-        """A very tight budget forces long off-periods, deferring retries."""
-        free = run_simulation(small_config().as_lorawan())
-        throttled = run_simulation(
-            small_config(duty_cycle=0.001).as_lorawan()
-        )
-        # The throttled network cannot spend as much airtime.
-        assert (
-            throttled.metrics.total_tx_energy_j
-            <= free.metrics.total_tx_energy_j + 1e-9
-        )
-
-    def test_duty_cycle_network_still_delivers(self):
-        result = run_simulation(small_config(duty_cycle=0.01).as_h(0.5))
-        assert result.metrics.avg_prr > 0.8
-
-    def test_invalid_duty_cycle_rejected(self):
-        with pytest.raises(ConfigurationError):
-            small_config(duty_cycle=0.0)
 
 
 class TestForecasterSelection:

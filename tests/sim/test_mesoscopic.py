@@ -284,6 +284,12 @@ class TestFaultPlanRejected:
         with pytest.raises(ConfigurationError, match="exact engine"):
             MesoscopicSimulator(config)
 
+    def test_w_u_ttl_raises(self):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="w_u_ttl_s needs the exact engine"):
+            MesoscopicSimulator(meso_config(w_u_ttl_s=3600.0))
+
     def test_empty_plan_is_allowed(self):
         from repro.faults import FaultPlan
 

@@ -165,6 +165,13 @@ class TestShardValidation:
         with pytest.raises(ConfigurationError, match="exact engine"):
             run_sharded(config)
 
+    def test_w_u_ttl_rejected(self):
+        from repro.exceptions import ConfigurationError
+
+        config = sharded_config(shards=2, w_u_ttl_s=3600.0)
+        with pytest.raises(ConfigurationError, match="w_u_ttl_s needs the exact engine"):
+            run_sharded(config)
+
     def test_empty_fault_plan_allowed(self):
         from repro.faults import FaultPlan
 

@@ -48,10 +48,8 @@ SUBMODULES = [
     "repro.experiments.report",
     "repro.experiments.scenarios",
     "repro.experiments.statistics",
-    "repro.lora.adr",
     "repro.lora.channels",
     "repro.lora.collision",
-    "repro.lora.dutycycle",
     "repro.lora.frames",
     "repro.lora.link",
     "repro.lora.params",

@@ -46,6 +46,14 @@ class TestSimulateCommand:
         assert "engine: exact" in out
         assert "lifespan_days" not in out  # no extrapolation on exact runs
 
+    def test_w_u_ttl_switches_to_exact_engine(self, capsys):
+        code = main(["simulate", "--nodes", "4", "--days", "0.25",
+                     "--w-u-ttl-days", "0.04"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "--w-u-ttl-days value needs the exact engine" in out
+        assert "engine: exact" in out
+
     def test_seed_changes_output(self, capsys):
         main(["simulate", "--nodes", "5", "--days", "1", "--seed", "1"])
         first = capsys.readouterr().out
