@@ -30,6 +30,7 @@ ATTRIBUTES = {
     ("repro.energy.harvester", "Harvester"): ("_rng_scratch",),
     ("repro.battery.battery", "Battery"): ("incremental",),
     ("repro.sim.engine", "Simulator"): ("adr", "duty_cycle"),
+    ("repro.core.mac", "BatteryLifespanAwareMac"): ("_w_u_ttl_s",),
 }
 
 #: Retired classes, which unpickle as ``types.SimpleNamespace``: old global

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class MacPolicy:
     ) -> None:
         """Receive the gateway-disseminated ``w_u`` (piggybacked on ACKs)."""
 
-    def reboot(self) -> None:
-        """Wipe volatile state after a node brown-out/reboot (no-op here)."""
-
     @property
     def name(self) -> str:
         """Display name used in reports."""
@@ -227,12 +224,6 @@ class BatteryLifespanAwareMac(MacPolicy):
     battery_capacity_j:
         If given, Algorithm 1's cumulative-energy scan respects the
         θ·capacity storage bound between windows.
-    w_u_ttl_s:
-        Time-to-live of a disseminated ``w_u``.  When set, a weight
-        older than the TTL decays exponentially toward the new-battery
-        default of 0 (half-life = one TTL) instead of steering the DIF
-        with stale data; None (default) trusts the last value forever,
-        the paper's implicit assumption of a fault-free downlink.
     """
 
     def __init__(
@@ -244,14 +235,10 @@ class BatteryLifespanAwareMac(MacPolicy):
         beta: float = 0.3,
         utility_fn: Optional[UtilityFunction] = None,
         battery_capacity_j: Optional[float] = None,
-        w_u_ttl_s: Optional[float] = None,
     ) -> None:
         if not 0.0 < soc_cap <= 1.0:
             raise ConfigurationError("soc_cap (θ) must be in (0, 1]")
-        if w_u_ttl_s is not None and w_u_ttl_s <= 0:
-            raise ConfigurationError("w_u TTL must be positive")
         self.soc_cap = soc_cap
-        self._w_u_ttl_s = w_u_ttl_s
         self._w_received_at_s: Optional[float] = None
         soc_cap_j = (
             soc_cap * battery_capacity_j if battery_capacity_j else float("inf")
@@ -286,9 +273,7 @@ class BatteryLifespanAwareMac(MacPolicy):
         ]
         return self._selector.select(
             battery_energy_j=context.battery_energy_j,
-            normalized_degradation=self.effective_degradation(
-                context.period_start_s
-            ),
+            normalized_degradation=self._normalized_degradation,
             green_energies_j=context.green_forecast_j,
             estimated_tx_energies_j=estimated,
         )
@@ -305,9 +290,9 @@ class BatteryLifespanAwareMac(MacPolicy):
     ) -> None:
         """Receive the gateway-disseminated ``w_u`` byte's value.
 
-        ``received_at_s`` stamps the weight for TTL-based staleness
-        tracking; omitting it marks the weight permanently fresh (the
-        pre-fault-model behaviour, still used by the mesoscopic runner).
+        ``received_at_s`` stamps the weight's arrival, from which
+        :mod:`repro.faults.staleness` ages it; omitting it leaves the
+        weight unstamped, and an unstamped weight never ages.
         """
         if not 0.0 <= w_u <= 1.0:
             raise ConfigurationError("normalized degradation must be in [0, 1]")
@@ -323,57 +308,6 @@ class BatteryLifespanAwareMac(MacPolicy):
                 stamped=received_at_s is not None,
             )
 
-    def reboot(self) -> None:
-        """Brown-out/reboot: volatile MAC state is lost.
-
-        The Eq. 13/14 estimators and the disseminated ``w_u`` live in
-        RAM on a real node; after a reboot the MAC restarts from the
-        new-battery defaults and must re-learn (and re-request a fresh
-        weight from the gateway).
-        """
-        self._energy_estimator.reset(0.0)
-        self._retx_estimator = RetransmissionEstimator(
-            max_retransmissions=MAX_RETRANSMISSIONS
-        )
-        self._normalized_degradation = 0.0
-        self._w_received_at_s = None
-
-    # ----------------------------------------------------- graceful staleness
-
-    def weight_is_stale(self, now_s: float) -> bool:
-        """Whether the held ``w_u`` is past its TTL at ``now_s``."""
-        if self._w_u_ttl_s is None or self._w_received_at_s is None:
-            return False
-        return now_s - self._w_received_at_s > self._w_u_ttl_s
-
-    def effective_degradation(self, now_s: float) -> float:
-        """The ``w_u`` actually steering the DIF at ``now_s``.
-
-        Within the TTL the disseminated value is used as-is.  Past it,
-        the value decays exponentially toward 0 (the safe new-battery
-        default) with a half-life of one TTL — the node gracefully stops
-        acting on data the gateway may long have revised, rather than
-        either trusting it forever or discarding it at a cliff edge.
-        """
-        if not self.weight_is_stale(now_s):
-            return self._normalized_degradation
-        age = now_s - self._w_received_at_s
-        excess = age - self._w_u_ttl_s
-        decayed = self._normalized_degradation * 0.5 ** (excess / self._w_u_ttl_s)
-        if self._trace is not None:
-            self._trace.emit(
-                now_s,
-                "wu",
-                "wu.stale_decay",
-                severity="debug",
-                node_id=self._trace_node,
-                held_w_u=self._normalized_degradation,
-                effective_w_u=decayed,
-                age_s=age,
-                ttl_s=self._w_u_ttl_s,
-            )
-        return decayed
-
     # ----------------------------------------------------------- diagnostics
 
     @property
@@ -385,11 +319,6 @@ class BatteryLifespanAwareMac(MacPolicy):
     def weight_received_at_s(self) -> Optional[float]:
         """When the current ``w_u`` arrived (None = never/unstamped)."""
         return self._w_received_at_s
-
-    @property
-    def w_u_ttl_s(self) -> Optional[float]:
-        """The staleness TTL, or None when staleness is not tracked."""
-        return self._w_u_ttl_s
 
     @property
     def tx_energy_estimate_j(self) -> float:
@@ -413,25 +342,24 @@ def batch_choose_windows_mixed(
     green_matrix: np.ndarray,
     nominal_tx_energies_j: Sequence[float],
     counts: Sequence[int],
-    now_s: Union[float, Sequence[float]],
+    weights: Sequence[float],
 ) -> MixedBatchWindowDecision:
     """Run :meth:`BatteryLifespanAwareMac.choose_window` for many nodes.
 
     Row ``i`` of ``green_matrix`` is node ``i``'s forecast, padded to
-    the widest count; ``counts[i]`` is node ``i``'s real window count.
-    ``now_s`` is one period start for every row or a sequence of one
-    per row (rows decided ahead of their own instant read ``w_u``
-    staleness at their own time).  All MACs must share ``w_b``, the
-    utility function and ``E^tx_max`` (one simulation config guarantees
-    this); θ·capacity caps are gathered per node.  Row ``i``'s decision
-    is bit-identical to :meth:`~BatteryLifespanAwareMac.choose_window`
-    with ``counts[i]`` windows — the per-window retransmission
-    multipliers are pure per-index statistics (a wider slice of the
-    same cached array), and :func:`score_windows_mixed` masks the pad
-    columns infeasible.  Estimator side effects (EWMA re-seeding when
-    the estimate is 0) happen in batch order, as one-at-a-time calls
-    would.  No ``window.selected`` event is emitted here: the caller
-    emits it at booking, from
+    the widest count; ``counts[i]`` is node ``i``'s real window count
+    and ``weights[i]`` the ``w_u`` that steers its DIF.  All MACs must
+    share ``w_b``, the utility function and ``E^tx_max`` (one
+    simulation config guarantees this); θ·capacity caps are gathered
+    per node.  Row ``i``'s decision is bit-identical to
+    :meth:`~BatteryLifespanAwareMac.choose_window` with ``counts[i]``
+    windows and a ``w_u`` of ``weights[i]`` — the per-window
+    retransmission multipliers are pure per-index statistics (a wider
+    slice of the same cached array), and :func:`score_windows_mixed`
+    masks the pad columns infeasible.  Estimator side effects (EWMA
+    re-seeding when the estimate is 0) happen in batch order, as
+    one-at-a-time calls would.  No ``window.selected`` event is emitted
+    here: the caller emits it at booking, from
     :meth:`~MixedBatchWindowDecision.selected_fields`.
     """
     if not macs:
@@ -440,14 +368,10 @@ def batch_choose_windows_mixed(
     if green.ndim != 2 or green.shape[0] != len(macs):
         raise ConfigurationError("green_matrix must be (len(macs), windows)")
     n, windows = green.shape
-    times = np.asarray(now_s, dtype=np.float64)
-    if times.ndim == 0:
-        times = np.full(n, times)
-    elif times.shape != (n,):
-        raise ConfigurationError("now_s must be one time or one per row")
-    times = times.tolist()
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ConfigurationError("weights must hold one w_u per row")
     est = np.empty((n, windows))
-    weights = np.empty(n)
     caps = np.empty(n)
     for i, mac in enumerate(macs):
         estimator = mac._energy_estimator
@@ -456,7 +380,6 @@ def batch_choose_windows_mixed(
         est[i] = estimator.estimate_j * mac._retx_estimator.window_energy_multipliers(
             windows
         )
-        weights[i] = mac.effective_degradation(times[i])
         caps[i] = mac._selector.soc_cap_j
     selector = macs[0]._selector
     return score_windows_mixed(

@@ -59,7 +59,7 @@ class ExponentialUtility:
 
     ``μ(t) = exp(−λ t)`` with λ chosen so utility halves every
     ``half_life_windows`` windows.  Suits applications where freshness
-    matters a lot early and little later (e.g. alarm-ish telemetry).
+    matters a lot early and much less later (e.g. alarm-ish telemetry).
     """
 
     half_life_windows: float = 4.0

@@ -23,6 +23,7 @@ import marshal
 import time
 import tracemalloc
 from dataclasses import dataclass
+from types import CodeType
 from typing import Dict, List, Optional
 
 from ..core import (
@@ -49,15 +50,25 @@ def _code_size(policy: MacPolicy) -> int:
     """Approximate 'executable size': marshaled bytecode of the policy class.
 
     Sums the code objects of every method defined by the policy's class —
-    the footprint the firmware image would gain.
+    the footprint the firmware image would gain — marshaled without file
+    names, so the count does not depend on where the tree is checked out.
     """
     total = 0
     for attribute in vars(type(policy)).values():
         func = getattr(attribute, "__func__", attribute)
         code = getattr(func, "__code__", None)
         if code is not None:
-            total += len(marshal.dumps(code))
+            total += len(marshal.dumps(_without_filename(code)))
     return total
+
+
+def _without_filename(code: CodeType) -> CodeType:
+    """``code`` and the code objects nested in it, with ``co_filename`` cleared."""
+    consts = tuple(
+        _without_filename(const) if isinstance(const, CodeType) else const
+        for const in code.co_consts
+    )
+    return code.replace(co_filename="", co_consts=consts)
 
 
 def _make_contexts(periods: int, windows: int, seed: int = 3) -> List[PeriodContext]:

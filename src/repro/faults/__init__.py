@@ -9,7 +9,8 @@ scheduling.  This package makes those failure modes first-class:
 * :mod:`repro.faults.models` — the runtime loss/outage/corruption models,
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` the engine
   consults at every event boundary, plus the :class:`FaultCounters`
-  surfaced in run metrics.
+  surfaced in run metrics,
+* :mod:`repro.faults.staleness` — the ``w_u`` TTL and its decay.
 
 Everything is driven by a single seed: two runs of the same plan are
 bit-identical, and an empty plan is bit-identical to no plan at all.

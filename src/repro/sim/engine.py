@@ -38,6 +38,7 @@ from ..exceptions import (
     SimulationInterrupted,
 )
 from ..faults import FaultCounters, FaultInjector
+from ..faults.staleness import effective_degradation, weight_is_stale
 from ..energy import (
     CloudProcess,
     EnergyForecaster,
@@ -123,7 +124,6 @@ def build_mac(
             nominal_tx_energy_j=nominal_j,
             beta=config.ewma_beta,
             battery_capacity_j=capacity_j,
-            w_u_ttl_s=config.w_u_ttl_s,
         )
     if config.soc_cap >= 1.0:
         return LorawanAlohaMac()
@@ -468,7 +468,7 @@ class Simulator:
             if (
                 self.injector is not None
                 and isinstance(node.mac, BatteryLifespanAwareMac)
-                and node.mac.weight_is_stale(now)
+                and weight_is_stale(node.mac, self.config.w_u_ttl_s, now)
             ):
                 self.injector.record_stale_weight_period()
             forecasts.append(node.begin_period(now, powers, oracle, layout))
@@ -660,10 +660,11 @@ class Simulator:
         Every node of a run has the policy its config selects.
         Lifespan-aware MACs go through the padded mixed-|T| batch scorer
         (bit-identical per row to the scalar Algorithm 1, estimator side
-        effects in pop order), whose rows also give each node's
-        ``window.selected`` event; immediate-transmit baselines consult
-        their scalar :meth:`~repro.core.MacPolicy.choose_window` — it is
-        a constant-time decision with nothing to vectorize.
+        effects in pop order, each ``w_u`` as :mod:`repro.faults.staleness`
+        ages it), whose rows also give each node's ``window.selected``
+        event; immediate-transmit baselines consult their scalar
+        :meth:`~repro.core.MacPolicy.choose_window` — it is a
+        constant-time decision with nothing to vectorize.
         """
         if not isinstance(nodes[0].mac, BatteryLifespanAwareMac):
             return [
@@ -682,15 +683,15 @@ class Simulator:
         for row, forecast in enumerate(forecasts):
             green[row, : counts[row]] = forecast
         stored = [node.battery.stored_j for node in nodes]
+        ttl_s, trace = self.config.w_u_ttl_s, self._trace
         batch = batch_choose_windows_mixed(
             [node.mac for node in nodes],
             np.array(stored),
             green,
             [node.attempt_energy_j for node in nodes],
             counts,
-            now,
+            [effective_degradation(n.mac, ttl_s, now, trace, n.node_id) for n in nodes],
         )
-        trace = self._trace
         selected = trace is not None and trace.wants("window", "debug")
         decisions = []
         for row, (node, count) in enumerate(zip(nodes, counts)):
@@ -827,12 +828,14 @@ class Simulator:
         self._reboot_node(node)
 
     def _reboot_node(self, node: EndDevice) -> None:
-        """Execute reboot semantics: fail, wipe, and re-request a weight."""
+        """Execute reboot semantics: fail, boot a fresh MAC, re-request a weight."""
         now = self.queue.now_s
         if node.packet is not None:
             # The in-flight packet dies with the volatile state.
             node.finish_packet(now, delivered=False, latency_s=node.period_s)
-        node.reboot(now)
+        node.reboot(
+            now, build_mac(self.config, node.battery.capacity_j, node.attempt_energy_j)
+        )
         if self.injector is not None:
             self.injector.record_reboot()
         # The rebooted node signals for a fresh w_u; the server answers

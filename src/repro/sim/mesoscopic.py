@@ -482,9 +482,9 @@ def reject_fault_plan(config: SimulationConfig) -> None:
     """Raise when ``config`` carries a non-empty fault plan or a ``w_u`` TTL.
 
     Only the exact engine has per-event boundaries to inject faults at,
-    and only it stamps each disseminated ``w_u`` with its arrival time,
-    which the TTL ages from; the mesoscopic and sharded engines would
-    otherwise drop both silently.  An empty plan (``FaultPlan.is_empty``)
+    and only it ages each disseminated ``w_u`` from its arrival time
+    (:mod:`repro.faults.staleness`); the mesoscopic and sharded engines
+    would otherwise drop both silently.  An empty plan (``FaultPlan.is_empty``)
     is allowed.
     """
     if config.faults is not None and not config.faults.is_empty:

@@ -439,7 +439,7 @@ def _decide_periods(
         # linear utility of window 0 is exactly 1.0 for any |T|, and the
         # forecast is not consulted (no estimator/RNG side effects).
         return [(True, 0, 1.0, events) for events in held]
-    # One padded scoring call: rows carry their own |T| and period start.
+    # One padded scoring call: rows carry their own |T| and ``w_u``.
     stored = [node.battery.stored_j for node in batch]
     result = batch_choose_windows_mixed(
         [node.mac for node in batch],
@@ -447,7 +447,7 @@ def _decide_periods(
         green,
         [node.attempt_energy_j for node in batch],
         counts,
-        times,
+        [node.mac.normalized_degradation for node in batch],
     )
     success = result.success.tolist()
     window_index = result.window_index.tolist()
@@ -779,7 +779,7 @@ def _refresh_batch(sim, now_s: float, harvest: _Harvest) -> None:
         sim.service.set_degradation(node.node_id, degradation)
     for node in nodes:
         node.mac.set_normalized_degradation(
-            sim.service.normalized_degradation(node.node_id)
+            sim.service.normalized_degradation(node.node_id), received_at_s=now_s
         )
     sim._record_refresh_wall(now_s, time.perf_counter() - started)
     if trace is not None:

@@ -505,11 +505,12 @@ class EndDevice:
         """
         return self.retrier.backoff_s(attempt, self.rng)
 
-    def reboot(self, now_s: float) -> None:
-        """Brown-out reboot: volatile MAC state is wiped.
+    def reboot(self, now_s: float, mac: MacPolicy) -> None:
+        """Brown-out reboot: the node boots ``mac``, a fresh MAC.
 
         The battery, harvester, and radio survive (hardware); the MAC's
-        estimators and its copy of ``w_u`` live in RAM and are lost.
+        estimators and its copy of ``w_u`` live in RAM and are lost, so
+        the node continues with a new-battery MAC bound to its trace.
         Any in-flight packet must be failed by the caller *before* the
         reboot so its outcome still reaches the metrics.  After
         rebooting the node asks the gateway for a fresh weight on its
@@ -518,7 +519,9 @@ class EndDevice:
         self.settle_to(now_s)
         if self.packet is not None:
             raise InvariantError("fail the in-flight packet before rebooting")
-        self.mac.reboot()
+        self.mac = mac
+        if self.trace is not None:
+            mac.bind_trace(self.trace, self.node_id)
         self._pending_report = None
         self.needs_weight_refresh = True
         self.metrics.reboots += 1

@@ -8,13 +8,14 @@ import pytest
 
 from repro.checkpoint import core, load_checkpoint, retired, save_checkpoint
 from repro.constants import SECONDS_PER_DAY
+from repro.core import BatteryLifespanAwareMac
 from repro.exceptions import CheckpointError
 from repro.sim import SimulationConfig, Simulator
 
 
 def stale_snapshot(tmp_path):
     """A small exact run's snapshot holding every retired config field,
-    simulator attribute and battery attribute at a value that still
+    simulator, battery and MAC attribute at a value that still
     resumes."""
     sim = Simulator(
         SimulationConfig(node_count=3, duration_s=0.25 * SECONDS_PER_DAY, seed=7)
@@ -26,6 +27,7 @@ def stale_snapshot(tmp_path):
     sim.adr = sim.duty_cycle = None
     for node in sim.nodes.values():
         node.battery.incremental = True
+        node.mac._w_u_ttl_s = None
     return save_checkpoint(sim, str(tmp_path), 100.0, engine="exact")
 
 
@@ -45,6 +47,9 @@ def test_load_drops_retired_state(tmp_path):
     assert not hasattr(sim, "adr") and not hasattr(sim, "duty_cycle")
     batteries = [node.battery for node in sim.nodes.values()]
     assert batteries and not any(hasattr(b, "incremental") for b in batteries)
+    macs = [node.mac for node in sim.nodes.values()]
+    assert all(type(mac) is BatteryLifespanAwareMac for mac in macs)
+    assert not any(hasattr(mac, "_w_u_ttl_s") for mac in macs)
     # ``Simulator.__setstate__`` ran: every node's link is bound again.
     assert all(node.gateway_rssi_dbm for node in sim.nodes.values())
     # The loaded objects are plain instances again: they snapshot.

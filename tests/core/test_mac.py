@@ -8,12 +8,14 @@ import pytest
 from repro.core import (
     BatteryLifespanAwareMac,
     LorawanAlohaMac,
+    MacPolicy,
     PeriodContext,
     ThresholdOnlyMac,
     uniform_offset_in_window,
 )
 from repro.core.mac import batch_choose_windows_mixed
 from repro.exceptions import ConfigurationError
+from repro.faults.staleness import effective_degradation, weight_is_stale
 
 E_TX = 0.06
 E_MAX = 0.132
@@ -139,8 +141,23 @@ class TestBatteryLifespanAwareMac:
         assert mac.tx_energy_estimate_j == pytest.approx(E_TX)
 
 
+    def test_holds_no_fault_recovery_logic(self):
+        # Staleness lives in repro.faults.staleness; a reboot boots a
+        # fresh MAC (EndDevice.reboot).
+        for cls in (MacPolicy, BatteryLifespanAwareMac):
+            for name in (
+                "reboot",
+                "weight_is_stale",
+                "effective_degradation",
+                "w_u_ttl_s",
+            ):
+                assert name not in vars(cls), (cls.__name__, name)
+
+
 class TestBatchPerRowTimes:
-    """``batch_choose_windows_mixed`` with one period start per row."""
+    """``batch_choose_windows_mixed`` with rows decided at their own
+    period starts: each row scores the ``w_u`` that the staleness policy
+    gives its MAC at that row's time."""
 
     TTL = 100.0
     TIMES = [40.0, 100.0, 130.0, 250.0, 400.0, 700.0]
@@ -156,7 +173,6 @@ class TestBatchPerRowTimes:
                     soc_cap=0.5,
                     max_tx_energy_j=E_MAX,
                     nominal_tx_energy_j=E_TX,
-                    w_u_ttl_s=self.TTL,
                 )
                 mac.set_normalized_degradation(0.9, received_at_s=0.0)
                 macs.append(mac)
@@ -173,19 +189,24 @@ class TestBatchPerRowTimes:
     def test_rows_match_scalar_decisions_across_the_ttl(self):
         batch_macs, scalar_macs = self.twins()
         green = self.green()
+        weights = [
+            effective_degradation(mac, self.TTL, now_s)
+            for mac, now_s in zip(batch_macs, self.TIMES)
+        ]
         result = batch_choose_windows_mixed(
             batch_macs,
             np.full(len(self.TIMES), E_TX * 2),
             green,
             [E_TX] * len(self.TIMES),
             self.COUNTS,
-            self.TIMES,
+            weights,
         )
-        stale = [scalar_macs[0].weight_is_stale(t) for t in self.TIMES]
+        stale = [weight_is_stale(scalar_macs[0], self.TTL, t) for t in self.TIMES]
         assert any(stale) and not all(stale)
         for i, (mac, now_s, count) in enumerate(
             zip(scalar_macs, self.TIMES, self.COUNTS)
         ):
+            mac.set_normalized_degradation(weights[i], received_at_s=0.0)
             decision = mac.choose_window(
                 PeriodContext(
                     battery_energy_j=E_TX * 2,
@@ -200,16 +221,8 @@ class TestBatchPerRowTimes:
             assert result.difs[i, :count].tolist() == decision.difs
         assert len(set(result.window_index.tolist())) > 1
 
-    def test_scalar_time_equals_repeated_row_time(self):
-        first, second = self.twins()
-        args = (np.full(len(self.TIMES), E_TX), self.green(), [E_TX] * 6, self.COUNTS)
-        one = batch_choose_windows_mixed(first, *args, 250.0)
-        rows = batch_choose_windows_mixed(second, *args, [250.0] * 6)
-        assert one.scores.tolist() == rows.scores.tolist()
-        assert one.window_index.tolist() == rows.window_index.tolist()
-
-    @pytest.mark.parametrize("now_s", [[0.0] * 5, [0.0] * 7, [[0.0] * 6]])
-    def test_row_time_count_must_match_rows(self, now_s):
+    @pytest.mark.parametrize("weights", [[0.0] * 5, [0.0] * 7, [[0.0] * 6]])
+    def test_row_weight_count_must_match_rows(self, weights):
         macs, _ = self.twins()
         with pytest.raises(ConfigurationError):
             batch_choose_windows_mixed(
@@ -218,7 +231,7 @@ class TestBatchPerRowTimes:
                 self.green(),
                 [E_TX] * 6,
                 self.COUNTS,
-                now_s,
+                weights,
             )
 
 

@@ -6,11 +6,14 @@ assert the paper's qualitative shapes — who wins, monotonicity, series
 lengths — not absolute values.
 """
 
+import inspect
 import json
 
 import pytest
 
 from repro.constants import SECONDS_PER_DAY
+from repro.core import BatteryLifespanAwareMac
+from repro.core import mac as mac_module
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments import (
     PAPER_POLICIES,
@@ -29,6 +32,7 @@ from repro.experiments import (
     testbed_base as make_testbed_base,
     testbed_grid as make_testbed_grid,
 )
+from repro.experiments.overhead import _code_size
 from repro.sim import SimulationConfig
 from repro.sweep import RunRecord, SweepResult, run_sweep
 
@@ -200,6 +204,26 @@ class TestTableI:
     def test_code_size_larger_for_blam(self):
         rows = measure_overhead(periods=100, repeats=1)
         assert rows["H-100"].code_size_bytes > rows["LoRaWAN"].code_size_bytes
+
+    def test_code_size_within_table1_bound(self):
+        # The bound of benchmarks/bench_table1_overhead.py: Algorithm 1's
+        # MAC stays a small add-on to the LoRaWAN one.
+        rows = measure_overhead(periods=100, repeats=1)
+        assert rows["H-100"].code_size_bytes < 20 * rows["LoRaWAN"].code_size_bytes
+
+    def test_code_size_independent_of_filename(self):
+        # The MAC module compiled under two file names of different
+        # lengths: every method's co_filename differs, the count does not.
+        source = inspect.getsource(mac_module)
+        sizes, filenames = [], []
+        for filename in ("mac.py", "/a/much/longer/checkout/path/repro/core/mac.py"):
+            namespace = {"__name__": mac_module.__name__, "__package__": "repro.core"}
+            exec(compile(source, filename, "exec"), namespace)
+            policy = namespace["BatteryLifespanAwareMac"]()
+            filenames.append(policy.choose_window.__code__.co_filename)
+            sizes.append(_code_size(policy))
+        assert filenames[0] != filenames[1]
+        assert sizes[0] == sizes[1] == _code_size(BatteryLifespanAwareMac())
 
 
 def _failed(record):

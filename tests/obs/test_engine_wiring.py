@@ -1,5 +1,7 @@
 """Integration tests: observability wired through both engines."""
 
+from collections import Counter
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -151,6 +153,14 @@ class TestTracedMesoscopicRun:
         assert bus.select(name="wu.recomputed")
         assert bus.select(name="window.selected")
         assert bus.select(name="battery.degradation")
+
+    def test_wu_received_at_each_refresh_instant(self, traced):
+        # Every refresh hands each of the 4 nodes its w_u at that instant.
+        bus = traced.obs.trace
+        refreshes = [e.time_s for e in bus.select(name="wu.recomputed")]
+        received = Counter(e.time_s for e in bus.select(name="wu.received"))
+        assert len(refreshes) > 1
+        assert received == {time_s: 4 for time_s in refreshes}
 
 
 class TestSinksAndFilters:

@@ -60,6 +60,21 @@ def test_snapshot_with_retired_flag_resumes_to_golden(tmp_path):
     _assert_resumes_to_golden(resumed)
 
 
+def test_snapshot_with_retired_mac_ttl_resumes_to_golden(tmp_path):
+    """A snapshot written while each lifespan-aware MAC still held the
+    ``w_u`` TTL (``_w_u_ttl_s``) resumes to the pinned digests; the
+    resumed run ages weights by the config's ``w_u_ttl_s``."""
+    path, sim, header = _newest_exact_faults_snapshot(tmp_path)
+    assert sim.nodes and sim.config.w_u_ttl_s is not None
+    for node in sim.nodes.values():
+        node.mac._w_u_ttl_s = sim.config.w_u_ttl_s
+    save_checkpoint(sim, os.path.dirname(path), header["time_s"], engine="exact")
+
+    resumed, _ = resume(path)
+    assert not any(hasattr(node.mac, "_w_u_ttl_s") for node in resumed.nodes.values())
+    _assert_resumes_to_golden(resumed)
+
+
 def _rewrite_as_pre_streaming_snapshot(tmp_path, incremental):
     """Save the exact-faults run's newest snapshot again as the code
     before the batch degradation refresh was retired pickled it: the

@@ -158,9 +158,17 @@ class TestRebootSemantics:
             faults=FaultPlan(node_reboots=(NodeReboot(0, duration - 900.0),)),
         ).as_h(0.5)
         simulator = Simulator(config)
+        booted = {node_id: node.mac for node_id, node in simulator.nodes.items()}
         result = simulator.run()
         assert result.fault_counters.node_reboots == 1
         assert result.metrics.nodes[0].reboots == 1
+        # Node 0 runs on a fresh MAC since its reboot; the others do not.
+        assert simulator.nodes[0].mac is not booted[0]
+        assert all(
+            simulator.nodes[node_id].mac is mac
+            for node_id, mac in booted.items()
+            if node_id != 0
+        )
 
     def test_reboot_after_end_never_fires(self):
         config = small_config(
